@@ -372,9 +372,8 @@ std::string digest(const Program& p, const Expectation& e,
   // Any-source matches and posted-irecv windows account simulated time in
   // real-schedule order, so their clocks are not reproducible; everything
   // else in the digest still is.
-  const bool stable_timing = !p.has_any_source_window() &&
-                             !p.has_racy_irecv_window() &&
-                             !p.has_icollective();
+  const bool stable_timing =
+      !p.has_any_source_window() && !p.has_racy_irecv_window();
   if (out.ran) {
     for (int r = 0; r < p.nranks; ++r) {
       const auto& st = out.result.rank_stats[static_cast<std::size_t>(r)];

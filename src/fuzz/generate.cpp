@@ -538,23 +538,17 @@ class Generator {
             static_cast<std::uint32_t>(rng_.uniform_index(33)));
       }
     }
-    for (std::size_t i = 0; i < pc; ++i) {
-      const int w = c->members[i];
+    // All members wait at one shared due event.  A member's wait may have
+    // to forward for its peers (tree algorithms progress only inside
+    // waits), so the waits act like one blocking collective at that event
+    // and the sequential-schedule deadlock argument carries over.
+    const std::uint32_t due =
+        event_ + 1 + static_cast<std::uint32_t>(rng_.uniform_index(3));
+    for (const int w : c->members) {
       Op mine = op;
       mine.req = alloc_slot(w);
       ops_of(w).push_back(mine);
-      // iallreduce is the one kind whose non-root completions depend on
-      // another rank's *wait* (comm rank 0's wait combines and fans the
-      // result out), not just on the issues.  Scheduling anything blocking
-      // for comm rank 0 between its issue and its wait could therefore
-      // cycle; pinning that wait to the very next flush keeps the
-      // sequential-schedule deadlock argument intact.  Everything else
-      // completes from the eager issue-time sends alone.
-      if (op.kind == OpKind::kIallreduce && i == 0) {
-        pending_.push_back({w, mine.req, c->id, event_, event_ + 1});
-      } else {
-        defer_wait(w, mine.req, c->id);
-      }
+      pending_.push_back({w, mine.req, c->id, event_, due});
     }
   }
 

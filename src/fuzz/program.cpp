@@ -69,10 +69,16 @@ bool Program::has_any_source_window() const {
 
 bool Program::has_racy_irecv_window() const {
   for (const auto& rank_ops : ops) {
-    std::set<int> posted;  // request slots holding a posted irecv
+    std::set<int> posted;  // slots holding an irecv or icollective
     for (const Op& op : rank_ops) {
       switch (op.kind) {
         case OpKind::kIrecv:
+        // An in-flight icollective holds at most one posted receive from
+        // issue until its wait, exactly like an irecv.
+        case OpKind::kIbcast:
+        case OpKind::kIreduce:
+        case OpKind::kIallreduce:
+        case OpKind::kIallgatherv:
           posted.insert(op.req);
           // Two posted receives complete in sender real-time order.
           if (posted.size() > 1) return true;
@@ -90,7 +96,9 @@ bool Program::has_racy_irecv_window() const {
         case OpKind::kSimAdvance:
         case OpKind::kContainerCreate:
         case OpKind::kContainerSetWeight:
-          break;  // no receive-side link accounting at this rank's mailbox
+          // No receive-side link accounting at this rank's mailbox
+          // (send_reliable's ack bypasses the ingress link).
+          break;
         default:
           // Blocking receives, probe, sendrecv, split, collectives and
           // repartition all serialize the ingress link in program order;
@@ -99,19 +107,6 @@ bool Program::has_racy_irecv_window() const {
           // on the real schedule.
           if (!posted.empty()) return true;
           break;
-      }
-    }
-  }
-  return false;
-}
-
-bool Program::has_icollective() const {
-  for (const auto& rank_ops : ops) {
-    for (const Op& op : rank_ops) {
-      if (op.kind == OpKind::kIbcast || op.kind == OpKind::kIreduce ||
-          op.kind == OpKind::kIallreduce ||
-          op.kind == OpKind::kIallgatherv) {
-        return true;
       }
     }
   }

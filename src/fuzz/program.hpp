@@ -157,18 +157,13 @@ struct Program {
 
   [[nodiscard]] std::size_t op_count() const;
   [[nodiscard]] bool has_any_source_window() const;
-  /// True when some rank runs receive-side communication while an irecv is
-  /// posted (or posts two at once).  The simulated ingress-link accounting
-  /// for a posted irecv happens at sender-timed delivery, so such programs
-  /// have schedule-dependent simulated clocks; the checker leaves their
-  /// clocks out of the outcome digest, like any-source windows.
+  /// True when some rank runs receive-side communication while an irecv or
+  /// an icollective is in flight (or has two in flight at once).  The
+  /// simulated ingress-link accounting for a posted receive happens at
+  /// sender-timed delivery, so such programs have schedule-dependent
+  /// simulated clocks; the checker leaves their clocks out of the outcome
+  /// digest, like any-source windows.
   [[nodiscard]] bool has_racy_irecv_window() const;
-  /// True when the program issues any nonblocking collective.  Their
-  /// internal receives are posted at issue and complete at sender-timed
-  /// delivery (several can be outstanding at once), so simulated clocks
-  /// are schedule-dependent — the checker's digest leaves timing out, the
-  /// same carve-out as racy irecv windows.
-  [[nodiscard]] bool has_icollective() const;
   [[nodiscard]] const CommInfo& comm_info(int id) const;
 };
 

@@ -144,8 +144,11 @@ class ShmBackend final : public Backend {
     DIPDC_REQUIRE(map_ == nullptr, "shm backend connected twice");
     nranks_ = nranks;
     const std::size_t n = static_cast<std::size_t>(nranks);
-    const std::size_t ctl_bytes =
-        sizeof(Control) + 2 * n * sizeof(RingCtl);
+    // mmap memory is page-aligned; pad the Control block so the
+    // cache-line-aligned RingCtl array that follows it stays aligned.
+    const std::size_t ctl_off = (sizeof(Control) + alignof(RingCtl) - 1) /
+                                alignof(RingCtl) * alignof(RingCtl);
+    const std::size_t ctl_bytes = ctl_off + 2 * n * sizeof(RingCtl);
     map_bytes_ = ctl_bytes + 2 * n * ring_bytes_;
     void* mem = ::mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
                        MAP_SHARED | MAP_ANONYMOUS, -1, 0);
@@ -155,7 +158,7 @@ class ShmBackend final : public Backend {
     }
     map_ = static_cast<std::byte*>(mem);
     control_ = new (map_) Control();
-    auto* ctls = reinterpret_cast<RingCtl*>(map_ + sizeof(Control));
+    auto* ctls = reinterpret_cast<RingCtl*>(map_ + ctl_off);
     std::byte* bufs = map_ + ctl_bytes;
     tx_ = std::vector<Ring>(n);
     rx_ = std::vector<Ring>(n);

@@ -23,10 +23,19 @@
 // where an algorithm must send from a buffer it still mutates (the ring
 // reduce-scatter phase), it stage-copies the outgoing chunk.
 //
+// The tree and ring algorithms, and every algorithm that has a nonblocking
+// form (bcast, reduce, the three allreduces, gatherv and allgatherv), are
+// written once, as resumable routines — C++20 coroutines returning
+// detail::CollTask that co_await their receives.  iX() issues the routine,
+// which runs up to its first receive; wait/test/wait_any resume it in the
+// owning rank's program order (there is no progress thread).  Blocking X()
+// is iX() + wait, so the two forms share one reduction order and are
+// bit-identical.
+//
 // All ranks must invoke the same collectives in the same order; each
-// invocation consumes a fixed number of internal tags from a
-// per-communicator sequence so that consecutive collectives can never
-// exchange each other's messages.
+// invocation reserves a fixed number of internal tags from a
+// per-communicator sequence at issue, so that consecutive (or concurrently
+// in-flight) collectives can never exchange each other's messages.
 #include <algorithm>
 #include <cstring>
 #include <numeric>
@@ -68,8 +77,67 @@ int pow2_floor(int p) {
 
 }  // namespace
 
-int Comm::next_collective_tag() {
-  return kInternalTagBase - (collective_seq_++);
+int Comm::next_collective_tag(int n) {
+  const int first = kInternalTagBase - collective_seq_;
+  collective_seq_ += n;
+  return first;
+}
+
+// ---- The collective engine -----------------------------------------------
+
+template <bool Staged>
+struct Comm::CoRecv {
+  Comm* comm;
+  std::span<std::byte> data;  // the target buffer unless Staged
+  int source;
+  int tag;
+  std::shared_ptr<detail::RequestState> req;
+
+  bool await_ready() const noexcept { return false; }
+  /// Posts the receive.  Issue stops at the routine's first receive even
+  /// when it matched at once; later receives that match at once run on.
+  bool await_suspend(detail::CollTask::Handle h) {
+    bool ready = false;
+    req = comm->post_recv(data, source, tag, /*internal=*/true, Staged, ready);
+    detail::CollectiveState& cs = *h.promise().state;
+    if (ready && !cs.issuing) return false;
+    cs.pending = req;
+    cs.resume = h;
+    return true;
+  }
+  auto await_resume() {
+    const Status st = comm->finish_recv(*req);
+    if constexpr (Staged) {
+      return std::move(req->staged);
+    } else {
+      return st;
+    }
+  }
+};
+
+Comm::CoRecv<false> Comm::co_recv(std::span<std::byte> data, int source,
+                                  int tag) {
+  return {this, data, source, tag, nullptr};
+}
+
+Comm::CoRecv<true> Comm::co_recv_staged(int source, int tag) {
+  return {this, {}, source, tag, nullptr};
+}
+
+Request Comm::issue(detail::CollTask task) {
+  auto cs = std::make_shared<detail::CollectiveState>(runtime_, world_rank_,
+                                                      std::move(task));
+  cs->top.resume();
+  cs->issuing = false;
+  if (cs->top.done() && cs->top.promise().error) {
+    std::rethrow_exception(cs->top.promise().error);
+  }
+  return Request(std::move(cs));
+}
+
+void Comm::complete(detail::CollTask task) {
+  Request req = issue(std::move(task));
+  wait_nocount(req);
 }
 
 Comm Comm::split(int color, int key) {
@@ -136,6 +204,13 @@ Comm Comm::shrink() {
   return Comm(runtime_, world_rank_, my_rank, std::move(group), res.context);
 }
 
+bool Comm::uses_tree(CollectiveAlgorithm choice) const {
+  // kAuto must not consult v-variant counts: only the root knows them.
+  return choice == CollectiveAlgorithm::kTree ||
+         (choice == CollectiveAlgorithm::kAuto &&
+          size() >= runtime_->options().collectives.tree_rank_threshold);
+}
+
 void Comm::barrier() {
   count_call(Primitive::kBarrier);
   count_algo(CollectiveAlgo::kBarrierDissemination);
@@ -154,10 +229,19 @@ void Comm::barrier() {
 
 void Comm::bcast_bytes(std::span<std::byte> data, int root) {
   validate_peer(root, "bcast");
+  complete(bcast_tree(data, root, next_collective_tag()));
+}
+
+Request Comm::ibcast_bytes(std::span<std::byte> data, int root) {
+  validate_peer(root, "ibcast");
+  return issue(bcast_flat(data, root, next_collective_tag()));
+}
+
+detail::CollTask Comm::bcast_tree(std::span<std::byte> data, int root,
+                                  int tag) {
   count_algo(CollectiveAlgo::kBcastBinomial);
-  const int tag = next_collective_tag();
   const int p = size();
-  if (p == 1) return;
+  if (p == 1) co_return;
   const int vrank = (rank_ - root + p) % p;
   // Staged relay: the payload travels the whole tree as one shared buffer
   // (root stages a single copy; every hop forwards it by reference and
@@ -173,12 +257,11 @@ void Comm::bcast_bytes(std::span<std::byte> data, int root) {
       int source = rank_ - mask;
       if (source < 0) source += p;
       if (staged) {
-        Status st{};
-        blob = recv_staged(source, tag, &st);
+        blob = co_await co_recv_staged(source, tag);
         copy_bytes(data, blob.view());
         state().stats.copied_bytes += blob.len;
       } else {
-        recv_bytes(data, source, tag, /*internal=*/true);
+        co_await co_recv(data, source, tag);
       }
       break;
     }
@@ -200,17 +283,35 @@ void Comm::bcast_bytes(std::span<std::byte> data, int root) {
   }
 }
 
+// The nonblocking broadcast fans out flat from the root.  With no progress
+// thread a tree forwards only inside its interior ranks' waits, so every
+// leaf would wait for its parent to reach its wait; flat, each rank's
+// request completes from the root's issue alone.  Measured on the streamed
+// module 2 pipeline (bench_streaming), a binomial ibcast cut the overlap's
+// critical-path comm-share drop from 2.53x to 2.04x.
+detail::CollTask Comm::bcast_flat(std::span<std::byte> data, int root,
+                                  int tag) {
+  count_algo(CollectiveAlgo::kBcastLinear);
+  const int p = size();
+  if (p == 1) co_return;
+  if (rank_ == root) {
+    // One staged copy of the payload, shared into every eager send; the
+    // user may mutate `data` the moment issue returns.
+    const detail::StagedBuffer sb = stage_copy(data);
+    for (int m = 0; m < p; ++m) {
+      if (m != root) send_staged(sb, m, tag);
+    }
+  } else {
+    co_await co_recv(data, root, tag);
+  }
+}
+
 void Comm::scatter_bytes(std::span<const std::byte> send,
                          std::span<std::byte> recv, int root) {
   validate_peer(root, "scatter");
-  const CollectiveOptions& copt = runtime_->options().collectives;
-  const bool tree =
-      copt.scatter == CollectiveAlgorithm::kTree ||
-      (copt.scatter == CollectiveAlgorithm::kAuto &&
-       size() >= copt.tree_rank_threshold);
   const int tag = next_collective_tag();
-  if (tree) {
-    scatter_tree(send, recv, root, tag);
+  if (uses_tree(runtime_->options().collectives.scatter)) {
+    complete(scatter_tree(send, recv, root, tag));
     return;
   }
   count_algo(CollectiveAlgo::kScatterLinear);
@@ -233,8 +334,9 @@ void Comm::scatter_bytes(std::span<const std::byte> send,
   }
 }
 
-void Comm::scatter_tree(std::span<const std::byte> send,
-                        std::span<std::byte> recv, int root, int tag) {
+detail::CollTask Comm::scatter_tree(std::span<const std::byte> send,
+                                    std::span<std::byte> recv, int root,
+                                    int tag) {
   count_algo(CollectiveAlgo::kScatterBinomial);
   const int p = size();
   const std::size_t chunk = recv.size();
@@ -267,9 +369,8 @@ void Comm::scatter_tree(std::span<const std::byte> send,
       const std::size_t extent = std::min<std::size_t>(
           static_cast<std::size_t>(mask),
           static_cast<std::size_t>(p - vrank));
-      Status st{};
-      blob = recv_staged(source, tag, &st);
-      require(st.bytes == extent * chunk,
+      blob = co_await co_recv_staged(source, tag);
+      require(blob.len == extent * chunk,
               "scatter: unexpected subtree payload size");
       break;
     }
@@ -300,15 +401,9 @@ void Comm::scatterv_bytes(std::span<const std::byte> send,
                           std::span<std::byte> recv, std::size_t elem_size,
                           int root) {
   validate_peer(root, "scatterv");
-  const CollectiveOptions& copt = runtime_->options().collectives;
-  // kAuto must not consult the counts: only the root knows them.
-  const bool tree =
-      copt.scatter == CollectiveAlgorithm::kTree ||
-      (copt.scatter == CollectiveAlgorithm::kAuto &&
-       size() >= copt.tree_rank_threshold);
   const int tag = next_collective_tag();
-  if (tree) {
-    scatterv_tree(send, counts, displs, recv, elem_size, root, tag);
+  if (uses_tree(runtime_->options().collectives.scatter)) {
+    complete(scatterv_tree(send, counts, displs, recv, elem_size, root, tag));
     return;
   }
   count_algo(CollectiveAlgo::kScattervLinear);
@@ -338,11 +433,12 @@ void Comm::scatterv_bytes(std::span<const std::byte> send,
   }
 }
 
-void Comm::scatterv_tree(std::span<const std::byte> send,
-                         std::span<const std::size_t> counts,
-                         std::span<const std::size_t> displs,
-                         std::span<std::byte> recv, std::size_t elem_size,
-                         int root, int tag) {
+detail::CollTask Comm::scatterv_tree(std::span<const std::byte> send,
+                                     std::span<const std::size_t> counts,
+                                     std::span<const std::size_t> displs,
+                                     std::span<std::byte> recv,
+                                     std::size_t elem_size, int root,
+                                     int tag) {
   count_algo(CollectiveAlgo::kScattervBinomial);
   const int p = size();
   const int vrank = (rank_ - root + p) % p;
@@ -391,13 +487,12 @@ void Comm::scatterv_tree(std::span<const std::byte> send,
           static_cast<std::size_t>(mask),
           static_cast<std::size_t>(p - vrank));
       sizes.resize(extent);
-      recv_bytes(std::as_writable_bytes(std::span<std::uint64_t>(sizes)),
-                 source, tag, /*internal=*/true);
-      Status st{};
-      blob = recv_staged(source, tag, &st);
+      co_await co_recv(std::as_writable_bytes(std::span<std::uint64_t>(sizes)),
+                       source, tag);
+      blob = co_await co_recv_staged(source, tag);
       const std::uint64_t total =
           std::accumulate(sizes.begin(), sizes.end(), std::uint64_t{0});
-      require(st.bytes == total, "scatterv: unexpected subtree payload size");
+      require(blob.len == total, "scatterv: unexpected subtree payload size");
       break;
     }
     mask <<= 1;
@@ -433,14 +528,9 @@ void Comm::scatterv_tree(std::span<const std::byte> send,
 void Comm::gather_bytes(std::span<const std::byte> send,
                         std::span<std::byte> recv, int root) {
   validate_peer(root, "gather");
-  const CollectiveOptions& copt = runtime_->options().collectives;
-  const bool tree =
-      copt.gather == CollectiveAlgorithm::kTree ||
-      (copt.gather == CollectiveAlgorithm::kAuto &&
-       size() >= copt.tree_rank_threshold);
   const int tag = next_collective_tag();
-  if (tree) {
-    gather_tree(send, recv, root, tag);
+  if (uses_tree(runtime_->options().collectives.gather)) {
+    complete(gather_tree(send, recv, root, tag));
     return;
   }
   count_algo(CollectiveAlgo::kGatherLinear);
@@ -464,8 +554,9 @@ void Comm::gather_bytes(std::span<const std::byte> send,
   }
 }
 
-void Comm::gather_tree(std::span<const std::byte> send,
-                       std::span<std::byte> recv, int root, int tag) {
+detail::CollTask Comm::gather_tree(std::span<const std::byte> send,
+                                   std::span<std::byte> recv, int root,
+                                   int tag) {
   count_algo(CollectiveAlgo::kGatherBinomial);
   const int p = size();
   const std::size_t chunk = send.size();
@@ -495,9 +586,8 @@ void Comm::gather_tree(std::span<const std::byte> send,
       const auto cnt = std::min<std::size_t>(
           static_cast<std::size_t>(mask),
           static_cast<std::size_t>(p - (vrank + mask)));
-      Status st{};
-      const detail::StagedBuffer cb = recv_staged(source, tag, &st);
-      require(st.bytes == cnt * chunk,
+      const detail::StagedBuffer cb = co_await co_recv_staged(source, tag);
+      require(cb.len == cnt * chunk,
               "gather: a rank contributed an unexpected number of bytes");
       for (std::size_t j = 0; j < cnt; ++j) {
         const auto actual = static_cast<std::size_t>(
@@ -505,9 +595,9 @@ void Comm::gather_tree(std::span<const std::byte> send,
         copy_bytes(recv.subspan(actual * chunk, chunk),
                    cb.slice(j * chunk, chunk).view());
       }
-      state().stats.copied_bytes += st.bytes;
+      state().stats.copied_bytes += cb.len;
     }
-    return;
+    co_return;
   }
 
   detail::StagedBuffer blob = stage_acquire(extent * chunk);
@@ -520,14 +610,13 @@ void Comm::gather_tree(std::span<const std::byte> send,
     const auto cnt = std::min<std::size_t>(
         static_cast<std::size_t>(mask),
         static_cast<std::size_t>(p - (vrank + mask)));
-    Status st{};
-    const detail::StagedBuffer cb = recv_staged(source, tag, &st);
-    require(st.bytes == cnt * chunk,
+    const detail::StagedBuffer cb = co_await co_recv_staged(source, tag);
+    require(cb.len == cnt * chunk,
             "gather: a rank contributed an unexpected number of bytes");
     copy_bytes(blob.mutable_view().subspan(
                    static_cast<std::size_t>(mask) * chunk),
                cb.view());
-    state().stats.copied_bytes += st.bytes;
+    state().stats.copied_bytes += cb.len;
   }
   int parent = rank_ - limit;
   if (parent < 0) parent += p;
@@ -540,51 +629,55 @@ void Comm::gatherv_bytes(std::span<const std::byte> send,
                          std::span<std::byte> recv, std::size_t elem_size,
                          int root) {
   validate_peer(root, "gatherv");
-  const CollectiveOptions& copt = runtime_->options().collectives;
-  // kAuto must not consult the counts: only the root knows them.
-  const bool tree =
-      copt.gather == CollectiveAlgorithm::kTree ||
-      (copt.gather == CollectiveAlgorithm::kAuto &&
-       size() >= copt.tree_rank_threshold);
   const int tag = next_collective_tag();
-  if (tree) {
-    gatherv_tree(send, counts, displs, recv, elem_size, root, tag);
-    return;
-  }
-  count_algo(CollectiveAlgo::kGathervLinear);
-  const int p = size();
-  if (rank_ == root) {
-    require(counts.size() == static_cast<std::size_t>(p),
-            "gatherv: need one count per rank at the root");
-    require(displs.size() == static_cast<std::size_t>(p),
-            "gatherv: need one displacement per rank at the root");
-    for (int i = 0; i < p; ++i) {
-      const std::size_t idx = static_cast<std::size_t>(i);
-      const std::size_t offset = displs[idx] * elem_size;
-      const std::size_t nbytes = counts[idx] * elem_size;
-      require(offset + nbytes <= recv.size(),
-              "gatherv: count/displacement outside the receive buffer");
-      auto slot = recv.subspan(offset, nbytes);
-      if (i == root) {
-        require(send.size() == nbytes,
-                "gatherv: root contribution does not match its count");
-        copy_bytes(slot, send);
-      } else {
-        const Status st = recv_bytes(slot, i, tag, /*internal=*/true);
-        require(st.bytes == nbytes,
-                "gatherv: a rank contributed an unexpected number of bytes");
-      }
-    }
+  if (uses_tree(runtime_->options().collectives.gather)) {
+    complete(gatherv_tree(send, counts, displs, recv, elem_size, root, tag));
   } else {
-    send_bytes(send, root, tag, /*internal=*/true);
+    complete(gatherv_linear(send, counts, displs, recv, elem_size, root, tag));
   }
 }
 
-void Comm::gatherv_tree(std::span<const std::byte> send,
-                        std::span<const std::size_t> counts,
-                        std::span<const std::size_t> displs,
-                        std::span<std::byte> recv, std::size_t elem_size,
-                        int root, int tag) {
+detail::CollTask Comm::gatherv_linear(std::span<const std::byte> send,
+                                      std::span<const std::size_t> counts,
+                                      std::span<const std::size_t> displs,
+                                      std::span<std::byte> recv,
+                                      std::size_t elem_size, int root,
+                                      int tag) {
+  count_algo(CollectiveAlgo::kGathervLinear);
+  const int p = size();
+  if (rank_ != root) {
+    send_bytes(send, root, tag, /*internal=*/true);
+    co_return;
+  }
+  require(counts.size() == static_cast<std::size_t>(p),
+          "gatherv: need one count per rank at the root");
+  require(displs.size() == static_cast<std::size_t>(p),
+          "gatherv: need one displacement per rank at the root");
+  for (int i = 0; i < p; ++i) {
+    const std::size_t idx = static_cast<std::size_t>(i);
+    const std::size_t offset = displs[idx] * elem_size;
+    const std::size_t nbytes = counts[idx] * elem_size;
+    require(offset + nbytes <= recv.size(),
+            "gatherv: count/displacement outside the receive buffer");
+    auto slot = recv.subspan(offset, nbytes);
+    if (i == root) {
+      require(send.size() == nbytes,
+              "gatherv: root contribution does not match its count");
+      copy_bytes(slot, send);
+    } else {
+      const Status st = co_await co_recv(slot, i, tag);
+      require(st.bytes == nbytes,
+              "gatherv: a rank contributed an unexpected number of bytes");
+    }
+  }
+}
+
+detail::CollTask Comm::gatherv_tree(std::span<const std::byte> send,
+                                    std::span<const std::size_t> counts,
+                                    std::span<const std::size_t> displs,
+                                    std::span<std::byte> recv,
+                                    std::size_t elem_size, int root,
+                                    int tag) {
   count_algo(CollectiveAlgo::kGathervBinomial);
   const int p = size();
   const int vrank = (rank_ - root + p) % p;
@@ -615,12 +708,11 @@ void Comm::gatherv_tree(std::span<const std::byte> send,
     const auto cnt = std::min<std::size_t>(
         m, static_cast<std::size_t>(p - (vrank + mask)));
     std::vector<std::uint64_t> hdr(cnt);
-    recv_bytes(std::as_writable_bytes(std::span<std::uint64_t>(hdr)), source,
-               tag, /*internal=*/true);
-    Status st{};
-    detail::StagedBuffer cb = recv_staged(source, tag, &st);
-    require(st.bytes == std::accumulate(hdr.begin(), hdr.end(),
-                                        std::uint64_t{0}),
+    co_await co_recv(std::as_writable_bytes(std::span<std::uint64_t>(hdr)),
+                     source, tag);
+    detail::StagedBuffer cb = co_await co_recv_staged(source, tag);
+    require(cb.len == std::accumulate(hdr.begin(), hdr.end(),
+                                      std::uint64_t{0}),
             "gatherv: unexpected subtree payload size");
     std::copy(hdr.begin(), hdr.end(), sizes.begin() + static_cast<long>(m));
     children.push_back(Child{mask, cnt, std::move(cb)});
@@ -644,12 +736,9 @@ void Comm::gatherv_tree(std::span<const std::byte> send,
       copy_bytes(recv.subspan(offset, nbytes), bytes);
       state().stats.copied_bytes += nbytes;
     };
-    {
-      const auto actual = static_cast<std::size_t>(root);
-      require(send.size() == counts[actual] * elem_size,
-              "gatherv: root contribution does not match its count");
-      place(0, send);
-    }
+    require(send.size() == counts[static_cast<std::size_t>(root)] * elem_size,
+            "gatherv: root contribution does not match its count");
+    place(0, send);
     for (const Child& c : children) {
       std::size_t pos = 0;
       for (std::size_t j = 0; j < c.cnt; ++j) {
@@ -659,7 +748,7 @@ void Comm::gatherv_tree(std::span<const std::byte> send,
         pos += nbytes;
       }
     }
-    return;
+    co_return;
   }
 
   const std::uint64_t total =
@@ -679,6 +768,42 @@ void Comm::gatherv_tree(std::span<const std::byte> send,
   send_staged(blob, parent, tag);
 }
 
+Request Comm::iallgatherv_bytes(std::span<const std::byte> send,
+                                std::span<const std::size_t> counts,
+                                std::span<const std::size_t> displs,
+                                std::span<std::byte> recv,
+                                std::size_t elem_size) {
+  // Every rank knows the geometry, so every rank checks it at issue.
+  const auto np = static_cast<std::size_t>(size());
+  require(counts.size() == np && displs.size() == np,
+          "allgatherv: counts/displs must have one entry per rank");
+  require(send.size() == counts[static_cast<std::size_t>(rank_)] * elem_size,
+          "allgatherv: send size must match this rank's count");
+  const std::size_t capacity = recv.size() / elem_size;
+  for (std::size_t i = 0; i < np; ++i) {
+    require(displs[i] <= capacity && counts[i] <= capacity - displs[i],
+            "allgatherv: count/displacement outside the receive buffer");
+  }
+  // The routine owns copies of the geometry: the root reads it after
+  // issue has returned.
+  return issue(allgatherv_gather_bcast(
+      send, std::vector<std::size_t>(counts.begin(), counts.end()),
+      std::vector<std::size_t>(displs.begin(), displs.end()), recv,
+      elem_size, next_collective_tag(2)));
+}
+
+detail::CollTask Comm::allgatherv_gather_bcast(
+    std::span<const std::byte> send, std::vector<std::size_t> counts,
+    std::vector<std::size_t> displs, std::span<std::byte> recv,
+    std::size_t elem_size, int tag) {
+  if (uses_tree(runtime_->options().collectives.gather)) {
+    co_await gatherv_tree(send, counts, displs, recv, elem_size, 0, tag);
+  } else {
+    co_await gatherv_linear(send, counts, displs, recv, elem_size, 0, tag);
+  }
+  co_await bcast_tree(recv, 0, tag - 1);
+}
+
 void Comm::allgather_bytes(std::span<const std::byte> send,
                            std::span<std::byte> recv) {
   const CollectiveOptions& copt = runtime_->options().collectives;
@@ -687,7 +812,7 @@ void Comm::allgather_bytes(std::span<const std::byte> send,
       (copt.allgather == CollectiveAlgorithm::kAuto && size() >= 4 &&
        recv.size() >= copt.allgather_ring_threshold);
   if (ring) {
-    allgather_ring(send, recv);
+    complete(allgather_ring(send, recv, next_collective_tag()));
     return;
   }
   count_algo(CollectiveAlgo::kAllgatherGatherBcast);
@@ -695,17 +820,16 @@ void Comm::allgather_bytes(std::span<const std::byte> send,
   bcast_bytes(recv, /*root=*/0);
 }
 
-void Comm::allgather_ring(std::span<const std::byte> send,
-                          std::span<std::byte> recv) {
+detail::CollTask Comm::allgather_ring(std::span<const std::byte> send,
+                                      std::span<std::byte> recv, int tag) {
   count_algo(CollectiveAlgo::kAllgatherRing);
-  const int tag = next_collective_tag();
   const int p = size();
   const std::size_t chunk = send.size();
   require(recv.size() == chunk * static_cast<std::size_t>(p),
           "allgather: receive buffer must be size() * chunk bytes");
   copy_bytes(recv.subspan(static_cast<std::size_t>(rank_) * chunk, chunk),
              send);
-  if (p == 1) return;
+  if (p == 1) co_return;
   const int right = (rank_ + 1) % p;
   const int left = (rank_ - 1 + p) % p;
   // Each step relays the chunk received in the previous step.  Chunks are
@@ -714,9 +838,8 @@ void Comm::allgather_ring(std::span<const std::byte> send,
   detail::StagedBuffer cur = stage_copy(send);
   for (int step = 1; step < p; ++step) {
     send_staged(cur, right, tag);
-    Status st{};
-    cur = recv_staged(left, tag, &st);
-    require(st.bytes == chunk,
+    cur = co_await co_recv_staged(left, tag);
+    require(cur.len == chunk,
             "allgather: a rank contributed an unexpected number of bytes");
     const auto origin = static_cast<std::size_t>((rank_ - step + p) % p);
     copy_bytes(recv.subspan(origin * chunk, chunk), cur.view());
@@ -724,15 +847,24 @@ void Comm::allgather_ring(std::span<const std::byte> send,
   }
 }
 
-void Comm::reduce_bytes(std::span<const std::byte> send,
-                        std::span<std::byte> recv, std::size_t elem_size,
-                        const ReduceFn& op, int root) {
+Request Comm::ireduce_bytes(std::span<const std::byte> send,
+                            std::span<std::byte> recv, std::size_t elem_size,
+                            ReduceFn op, int root) {
   validate_peer(root, "reduce");
-  count_algo(CollectiveAlgo::kReduceBinomial);
   require(elem_size > 0, "reduce: element size must be positive");
   require(send.size() % elem_size == 0,
           "reduce: buffer size must be a multiple of the element size");
-  const int tag = next_collective_tag();
+  require(rank_ != root || recv.size() == send.size(),
+          "reduce: root receive buffer must match the send buffer size");
+  return issue(reduce_tree(send, recv, elem_size, std::move(op), root,
+                           next_collective_tag()));
+}
+
+detail::CollTask Comm::reduce_tree(std::span<const std::byte> send,
+                                   std::span<std::byte> recv,
+                                   std::size_t elem_size, ReduceFn op,
+                                   int root, int tag) {
+  count_algo(CollectiveAlgo::kReduceBinomial);
   const int p = size();
   const std::size_t nelems = send.size() / elem_size;
 
@@ -750,9 +882,9 @@ void Comm::reduce_bytes(std::span<const std::byte> send,
       const int partner_v = vrank | mask;
       if (partner_v < p) {
         const int partner = (partner_v + root) % p;
-        Status st{};
-        const detail::StagedBuffer incoming = recv_staged(partner, tag, &st);
-        require(st.bytes == send.size(),
+        const detail::StagedBuffer incoming =
+            co_await co_recv_staged(partner, tag);
+        require(incoming.len == send.size(),
                 "reduce: a rank contributed an unexpected number of bytes");
         op(incoming.view().data(), accum.data(), accum.data(), nelems,
            elem_size);
@@ -763,16 +895,17 @@ void Comm::reduce_bytes(std::span<const std::byte> send,
       break;
     }
   }
-  if (rank_ == root) {
-    require(recv.size() == send.size(),
-            "reduce: root receive buffer must match the send buffer size");
-    copy_bytes(recv, accum);
-  }
+  if (rank_ == root) copy_bytes(recv, accum);
 }
 
-void Comm::allreduce_bytes(std::span<const std::byte> send,
-                           std::span<std::byte> recv, std::size_t elem_size,
-                           const ReduceFn& op) {
+Request Comm::iallreduce_bytes(std::span<const std::byte> send,
+                               std::span<std::byte> recv,
+                               std::size_t elem_size, ReduceFn op) {
+  require(elem_size > 0, "allreduce: element size must be positive");
+  require(send.size() % elem_size == 0,
+          "allreduce: buffer size must be a multiple of the element size");
+  require(recv.size() == send.size(),
+          "allreduce: receive buffer must match the send buffer size");
   const CollectiveOptions& copt = runtime_->options().collectives;
   const int p = size();
   CollectiveAlgorithm alg = copt.allreduce;
@@ -788,37 +921,41 @@ void Comm::allreduce_bytes(std::span<const std::byte> send,
   if (p == 1) alg = CollectiveAlgorithm::kClassic;
   switch (alg) {
     case CollectiveAlgorithm::kRing:
-      allreduce_ring(send, recv, elem_size, op);
-      return;
+      return issue(allreduce_ring(send, recv, elem_size, std::move(op),
+                                  next_collective_tag(2)));
     case CollectiveAlgorithm::kRecursiveDoubling:
-      allreduce_rd(send, recv, elem_size, op);
-      return;
+      return issue(allreduce_rd(send, recv, elem_size, std::move(op),
+                                next_collective_tag(3)));
     default:
-      break;
+      return issue(allreduce_reduce_bcast(send, recv, elem_size,
+                                          std::move(op),
+                                          next_collective_tag(2)));
   }
-  count_algo(CollectiveAlgo::kAllreduceReduceBcast);
-  reduce_bytes(send,
-               rank_ == 0 ? recv : std::span<std::byte>{}, elem_size, op,
-               /*root=*/0);
-  bcast_bytes(recv, /*root=*/0);
 }
 
-void Comm::allreduce_rd(std::span<const std::byte> send,
-                        std::span<std::byte> recv, std::size_t elem_size,
-                        const ReduceFn& op) {
+detail::CollTask Comm::allreduce_reduce_bcast(std::span<const std::byte> send,
+                                              std::span<std::byte> recv,
+                                              std::size_t elem_size,
+                                              ReduceFn op, int tag) {
+  count_algo(CollectiveAlgo::kAllreduceReduceBcast);
+  const std::span<std::byte> root_recv =
+      rank_ == 0 ? recv : std::span<std::byte>{};
+  co_await reduce_tree(send, root_recv, elem_size, std::move(op), 0, tag);
+  co_await bcast_tree(recv, 0, tag - 1);
+}
+
+detail::CollTask Comm::allreduce_rd(std::span<const std::byte> send,
+                                    std::span<std::byte> recv,
+                                    std::size_t elem_size, ReduceFn op,
+                                    int tag) {
   count_algo(CollectiveAlgo::kAllreduceRecursiveDoubling);
-  // Uniform tag budget: every rank consumes three tags whether or not it
+  // Uniform tag budget: every rank reserved three tags whether or not it
   // participates in the non-power-of-two fold phases.
-  const int tag_fold = next_collective_tag();
-  const int tag_main = next_collective_tag();
-  const int tag_post = next_collective_tag();
+  const int tag_fold = tag;
+  const int tag_main = tag - 1;
+  const int tag_post = tag - 2;
   const int p = size();
   const std::size_t n = send.size();
-  require(elem_size > 0, "allreduce: element size must be positive");
-  require(n % elem_size == 0,
-          "allreduce: buffer size must be a multiple of the element size");
-  require(recv.size() == n,
-          "allreduce: receive buffer must match the send buffer size");
   const std::size_t nelems = n / elem_size;
   const int pow2 = pow2_floor(p);
   const int rem = p - pow2;
@@ -843,10 +980,9 @@ void Comm::allreduce_rd(std::span<const std::byte> send,
       send_staged(accum, rank_ - 1, tag_fold);
       vr = -1;  // parked until the post phase
     } else {
-      Status st{};
       const detail::StagedBuffer incoming =
-          recv_staged(rank_ + 1, tag_fold, &st);
-      require(st.bytes == n,
+          co_await co_recv_staged(rank_ + 1, tag_fold);
+      require(incoming.len == n,
               "allreduce: a rank contributed an unexpected number of bytes");
       combine(incoming);
       vr = rank_ / 2;
@@ -860,10 +996,9 @@ void Comm::allreduce_rd(std::span<const std::byte> send,
       const int partner_v = vr ^ mask;
       const int partner = partner_v < rem ? partner_v * 2 : partner_v + rem;
       send_staged(accum, partner, tag_main);
-      Status st{};
       const detail::StagedBuffer incoming =
-          recv_staged(partner, tag_main, &st);
-      require(st.bytes == n,
+          co_await co_recv_staged(partner, tag_main);
+      require(incoming.len == n,
               "allreduce: a rank contributed an unexpected number of bytes");
       combine(incoming);
     }
@@ -873,9 +1008,8 @@ void Comm::allreduce_rd(std::span<const std::byte> send,
     if (rank_ % 2 == 0) {
       send_staged(accum, rank_ + 1, tag_post);
     } else {
-      Status st{};
-      accum = recv_staged(rank_ - 1, tag_post, &st);
-      require(st.bytes == n,
+      accum = co_await co_recv_staged(rank_ - 1, tag_post);
+      require(accum.len == n,
               "allreduce: a rank contributed an unexpected number of bytes");
     }
   }
@@ -883,19 +1017,15 @@ void Comm::allreduce_rd(std::span<const std::byte> send,
   state().stats.copied_bytes += n;
 }
 
-void Comm::allreduce_ring(std::span<const std::byte> send,
-                          std::span<std::byte> recv, std::size_t elem_size,
-                          const ReduceFn& op) {
+detail::CollTask Comm::allreduce_ring(std::span<const std::byte> send,
+                                      std::span<std::byte> recv,
+                                      std::size_t elem_size, ReduceFn op,
+                                      int tag) {
   count_algo(CollectiveAlgo::kAllreduceRabenseifner);
-  const int tag_rs = next_collective_tag();
-  const int tag_ag = next_collective_tag();
+  const int tag_rs = tag;
+  const int tag_ag = tag - 1;
   const int p = size();
   const std::size_t n = send.size();
-  require(elem_size > 0, "allreduce: element size must be positive");
-  require(n % elem_size == 0,
-          "allreduce: buffer size must be a multiple of the element size");
-  require(recv.size() == n,
-          "allreduce: receive buffer must match the send buffer size");
   const std::size_t nelems = n / elem_size;
   const auto np = static_cast<std::size_t>(p);
 
@@ -926,9 +1056,8 @@ void Comm::allreduce_ring(std::span<const std::byte> send,
     const detail::StagedBuffer out = stage_copy(
         std::span<const std::byte>(work).subspan(off[send_c], sz[send_c]));
     send_staged(out, right, tag_rs);
-    Status st{};
-    const detail::StagedBuffer in = recv_staged(left, tag_rs, &st);
-    require(st.bytes == sz[recv_c],
+    const detail::StagedBuffer in = co_await co_recv_staged(left, tag_rs);
+    require(in.len == sz[recv_c],
             "allreduce: a rank contributed an unexpected number of bytes");
     op(in.view().data(), work.data() + off[recv_c],
        work.data() + off[recv_c], sz[recv_c] / elem_size, elem_size);
@@ -943,10 +1072,9 @@ void Comm::allreduce_ring(std::span<const std::byte> send,
       std::span<const std::byte>(work).subspan(off[own_c], sz[own_c]));
   for (int step = 1; step < p; ++step) {
     send_staged(cur, right, tag_ag);
-    Status st{};
-    cur = recv_staged(left, tag_ag, &st);
+    cur = co_await co_recv_staged(left, tag_ag);
     const auto c = static_cast<std::size_t>((rank_ + 1 - step + p) % p);
-    require(st.bytes == sz[c],
+    require(cur.len == sz[c],
             "allreduce: a rank contributed an unexpected number of bytes");
     copy_bytes(recv.subspan(off[c], sz[c]), cur.view());
     state().stats.copied_bytes += sz[c];

@@ -519,11 +519,23 @@ Request Comm::irecv_bytes(std::span<std::byte> data, int source, int tag,
                           bool internal) {
   if (source != kAnySource) validate_peer(source, "irecv");
   if (!internal && tag != kAnyTag) validate_user_tag(tag, "irecv");
+  bool ready = false;
+  auto req = post_recv(data, source, tag, internal, /*staged=*/false, ready);
+  if (ready && req->error.empty()) {
+    state().stats.copied_bytes += req->status.bytes;
+  }
+  return Request(req);
+}
 
+std::shared_ptr<detail::RequestState> Comm::post_recv(
+    std::span<std::byte> data, int source, int tag, bool internal,
+    bool staged, bool& ready) {
   auto req = std::make_shared<detail::RequestState>();
   req->kind = detail::RequestState::Kind::kRecv;
   req->buffer = data.data();
-  req->capacity = data.size();
+  req->capacity =
+      staged ? std::numeric_limits<std::size_t>::max() : data.size();
+  req->want_staged = staged;
   req->source_filter = source;
   req->tag_filter = tag;
   req->context = context_;
@@ -533,6 +545,7 @@ Request Comm::irecv_bytes(std::span<std::byte> data, int source, int tag,
   detail::RankState& st = state();
   req->post_time = st.clock;
   detail::Mailbox& mb = runtime_->mailbox(world_rank_);
+  ready = true;
   if (auto m = mb.unexpected.find(source, tag, context_, internal)) {
     const std::shared_ptr<detail::Envelope> env = m->handle();
     req->status = Status{env->source, env->tag, env->payload.size()};
@@ -543,6 +556,7 @@ Request Comm::irecv_bytes(std::span<std::byte> data, int source, int tag,
     mb.link_busy_until = completion;
     req->completion_time = completion;
     env->completion_time = completion;
+    mb.unexpected.erase(*m);
     if (env->payload.size() > req->capacity) {
       std::ostringstream os;
       os << "message truncation: irecv buffer holds " << req->capacity
@@ -551,33 +565,57 @@ Request Comm::irecv_bytes(std::span<std::byte> data, int source, int tag,
       req->error = os.str();
       env->matched = true;
       req->done = true;
-      mb.unexpected.erase(*m);
       runtime_->condvar().notify_all();
-      return Request(req);
+      return req;
     }
-    // The irecv completed inline, so its own trace event carries the edge
-    // (wait() on this request will find req->trace_seq already consumed).
+    // The receive completed at post, so the posting operation's own trace
+    // event carries the edge (a later wait finds req->trace_seq consumed).
     if (!internal) st.last_rx_seq = env->trace_seq;
-    st.stats.copied_bytes += env->payload.size();
-    mb.unexpected.erase(*m);
-    if (env->payload.size() <= kLockedCopyMax) {
+    if (staged) {
+      // Adopt a shared payload without copying, else park a pooled copy.
+      if (env->payload.size() == 0) {
+        // empty message
+      } else if (runtime_->options().transport.zero_copy &&
+                 env->payload.shareable()) {
+        req->staged = env->payload.share();
+        req->staged_shared = true;
+      } else {
+        bool hit = false;
+        detail::Buffer buf =
+            runtime_->buffer_pool().acquire(env->payload.size(), &hit);
+        ++(hit ? st.stats.pool_hits : st.stats.pool_misses);
+        env->payload.copy_to(buf->data());
+        req->staged =
+            detail::StagedBuffer{std::move(buf), 0, env->payload.size()};
+      }
+    } else if (env->payload.size() <= kLockedCopyMax) {
       env->payload.copy_to(req->buffer);
-      env->matched = true;
-      req->done = true;
     } else {
       env->consume_in_flight = true;
       lock.unlock();
       env->payload.copy_to(req->buffer);
       lock.lock();
       env->consume_in_flight = false;
-      env->matched = true;
-      req->done = true;
     }
+    env->matched = true;
+    req->done = true;
     runtime_->condvar().notify_all();
-    return Request(req);
+    return req;
   }
   mb.posted.push_back(req);
-  return Request(req);
+  ready = false;
+  return req;
+}
+
+Status Comm::finish_recv(const detail::RequestState& rs) {
+  if (!rs.error.empty()) throw MpiError(rs.error);
+  detail::RankState& st = state();
+  const double completion = std::max(st.clock, rs.completion_time);
+  st.stats.sim_comm_seconds += completion - st.clock;
+  st.clock = completion;
+  (rs.staged_shared ? st.stats.zero_copy_bytes : st.stats.copied_bytes) +=
+      rs.status.bytes;
+  return rs.status;
 }
 
 detail::StagedBuffer Comm::stage_acquire(std::size_t n) {
@@ -651,76 +689,6 @@ void Comm::send_staged(const detail::StagedBuffer& data, int dest, int tag) {
   st.stats.sim_comm_seconds += overhead;
 }
 
-detail::StagedBuffer Comm::recv_staged(int source, int tag, Status* status) {
-  validate_peer(source, "recv");
-
-  std::unique_lock<std::mutex> lock(runtime_->mutex());
-  detail::RankState& st = state();
-  detail::Mailbox& mb = runtime_->mailbox(world_rank_);
-  const bool zero_copy = runtime_->options().transport.zero_copy;
-
-  if (auto m = mb.unexpected.find(source, tag, context_, /*internal=*/true)) {
-    const std::shared_ptr<detail::Envelope> env = m->handle();
-    const Status stt{env->source, env->tag, env->payload.size()};
-    const double completion =
-        std::max({st.clock, env->arrival_head, mb.link_busy_until}) +
-        env->byte_time;
-    mb.link_busy_until = completion;
-    env->completion_time = completion;
-    st.stats.sim_comm_seconds += completion - st.clock;
-    st.clock = completion;
-    mb.unexpected.erase(*m);
-    detail::StagedBuffer sb;
-    if (stt.bytes == 0) {
-      // empty message
-    } else if (zero_copy && env->payload.shareable()) {
-      sb = env->payload.share();  // adopt, no copy
-      st.stats.zero_copy_bytes += stt.bytes;
-    } else {
-      bool hit = false;
-      detail::Buffer buf = runtime_->buffer_pool().acquire(stt.bytes, &hit);
-      ++(hit ? st.stats.pool_hits : st.stats.pool_misses);
-      env->payload.copy_to(buf->data());
-      sb = detail::StagedBuffer{std::move(buf), 0, stt.bytes};
-      st.stats.copied_bytes += stt.bytes;
-    }
-    env->matched = true;
-    runtime_->condvar().notify_all();
-    if (status != nullptr) *status = stt;
-    return sb;
-  }
-
-  auto req = std::make_shared<detail::RequestState>();
-  req->kind = detail::RequestState::Kind::kRecv;
-  req->want_staged = true;
-  req->capacity = std::numeric_limits<std::size_t>::max();
-  req->source_filter = source;
-  req->tag_filter = tag;
-  req->context = context_;
-  req->internal = true;
-  req->post_time = st.clock;
-  mb.posted.push_back(req);
-
-  try {
-    runtime_->blocking_wait(lock, world_rank_, "Recv (staged)",
-                            [&req] { return req->done; });
-  } catch (...) {
-    if (!req->done) std::erase(mb.posted, req);
-    throw;
-  }
-  if (!req->error.empty()) throw MpiError(req->error);
-  const double completion = std::max(st.clock, req->completion_time);
-  st.stats.sim_comm_seconds += completion - st.clock;
-  st.clock = completion;
-  if (req->staged_shared) {
-    st.stats.zero_copy_bytes += req->status.bytes;
-  } else {
-    st.stats.copied_bytes += req->status.bytes;
-  }
-  if (status != nullptr) *status = req->status;
-  return std::move(req->staged);
-}
-
 void Comm::trace_end(Primitive op, int peer, int tag, std::size_t bytes,
                      const TraceStart& t0) {
   obs::Recorder* const rec = runtime_->recorder();
@@ -781,52 +749,57 @@ Status Comm::wait(Request& request) {
   return st;
 }
 
-bool Comm::advance_collective(
-    const std::shared_ptr<detail::CollectiveState>& cs, bool blocking) {
-  if (cs->done) return true;
-  // Complete the posted sub-operations in post order (deterministic clock
-  // adoption).  Non-blocking callers bail out at the first pending one.
-  while (cs->completed < cs->subs.size()) {
-    if (!blocking) {
-      std::unique_lock<std::mutex> lock(runtime_->mutex());
-      const auto& rs = cs->subs[cs->completed];
-      const bool sub_done = rs->kind == detail::RequestState::Kind::kSend
-                                ? (rs->done || rs->envelope->matched)
-                                : rs->done;
-      if (!sub_done) return false;
+detail::CollectiveState::CollectiveState(detail_runtime::Runtime* rt,
+                                         int rank, CollTask task)
+    : top(task.release()),
+      runtime(rt),
+      world_rank(rank),
+      world_alive(rt->live_flag()) {
+  top.promise().state = this;
+}
+
+detail::CollectiveState::~CollectiveState() {
+  if (!top.done() && pending && *world_alive) {
+    // Never leave a sender writing into (or able to match) a receive whose
+    // buffer may be about to go away with the abandoned routine.
+    std::unique_lock<std::mutex> lock(runtime->mutex());
+    if (pending->copy_in_flight) {
+      while (!pending->done) runtime->condvar().wait(lock);
+    } else if (!pending->done) {
+      std::erase(runtime->mailbox(world_rank).posted, pending);
     }
-    Request sub(cs->subs[cs->completed]);
-    wait_nocount(sub);
-    ++cs->completed;
   }
-  // Root-side fan-in: before running `finish`, a non-blocking caller must
-  // prove every lazily ingested message is already queued, so the blocking
-  // receives inside `finish` provably fast-path.
-  if (!blocking && !cs->ingests.empty()) {
-    std::unique_lock<std::mutex> lock(runtime_->mutex());
-    detail::Mailbox& mb = runtime_->mailbox(world_rank_);
-    for (const auto& in : cs->ingests) {
-      if (!mb.unexpected.find(in.source, in.tag, context_,
-                              /*internal=*/true)) {
-        return false;
+  top.destroy();
+}
+
+bool Comm::advance(detail::CollectiveState& cs, bool blocking) {
+  while (!cs.top.done()) {
+    {
+      std::unique_lock<std::mutex> lock(runtime_->mutex());
+      if (!cs.pending->done) {
+        if (!blocking) return false;
+        runtime_->blocking_wait(lock, world_rank_, "Recv (collective)",
+                                [&cs] { return cs.pending->done; });
       }
     }
+    cs.resume.resume();
   }
-  if (cs->finish) {
-    // Cleared only after success: a RankFailedError unwinding out of the
-    // ingestion leaves the request incomplete, so waiting again rethrows
-    // instead of silently succeeding.
-    cs->finish(*this);
-    cs->finish = nullptr;
-  }
-  cs->done = true;
+  // A failed routine stays failed: every later wait rethrows.
+  if (cs.top.promise().error) std::rethrow_exception(cs.top.promise().error);
   return true;
+}
+
+bool Request::can_progress() const {
+  if (coll_ != nullptr) return coll_->top.done() || coll_->pending->done;
+  return state_->kind == detail::RequestState::Kind::kSend
+             ? (state_->done || state_->envelope->matched)
+             : state_->done;
 }
 
 Status Comm::wait_nocount(Request& request) {
   if (!request.valid()) throw MpiError("wait on an empty Request");
   if (request.coll_ != nullptr) {
-    advance_collective(request.coll_, /*blocking=*/true);
+    advance(*request.coll_, /*blocking=*/true);
     return request.coll_->status;
   }
   auto rs = request.state_;
@@ -885,87 +858,39 @@ std::size_t Comm::wait_any(std::span<Request> requests, Status* status) {
   for (const Request& r : requests) {
     if (!r.valid()) throw MpiError("wait_any on an empty Request");
   }
-  auto sub_done = [](const std::shared_ptr<detail::RequestState>& rs) {
-    return rs->kind == detail::RequestState::Kind::kSend
-               ? (rs->done || rs->envelope->matched)
-               : rs->done;
-  };
-  // Completable without blocking.  For collectives: every remaining sub
-  // done and every lazy ingest already queued (`finish` itself only posts
-  // eager work, so it never blocks once this holds).  Checked under the
-  // runtime lock.
-  auto request_done = [&](const Request& r) {
-    if (r.coll_ == nullptr) return sub_done(r.state_);
-    const detail::CollectiveState& cs = *r.coll_;
-    if (cs.done) return true;
-    for (std::size_t i = cs.completed; i < cs.subs.size(); ++i) {
-      if (!sub_done(cs.subs[i])) return false;
-    }
-    detail::Mailbox& mb = runtime_->mailbox(world_rank_);
-    for (const auto& in : cs.ingests) {
-      if (!mb.unexpected.find(in.source, in.tag, context_,
-                              /*internal=*/true)) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  std::size_t which = requests.size();
-  {
-    std::unique_lock<std::mutex> lock(runtime_->mutex());
-    runtime_->blocking_wait(lock, world_rank_, "Waitany", [&] {
-      for (std::size_t i = 0; i < requests.size(); ++i) {
-        if (request_done(requests[i])) {
-          which = i;
-          return true;
+  for (;;) {
+    std::size_t which = requests.size();
+    {
+      std::unique_lock<std::mutex> lock(runtime_->mutex());
+      runtime_->blocking_wait(lock, world_rank_, "Waitany", [&] {
+        for (std::size_t i = 0; i < requests.size(); ++i) {
+          if (requests[i].can_progress()) {
+            which = i;
+            return true;
+          }
         }
-      }
-      return false;
-    });
+        return false;
+      });
+    }
+    // A collective may only have advanced as far as its next receive.
+    if (test(requests[which], status)) return which;
   }
-  // Complete the found request (adopts clocks/counters idempotently).
-  const Status st = wait_nocount(requests[which]);
-  // wait_any records no trace event of its own; drop the pending message
-  // edge so it cannot leak into the next traced operation.
-  state().last_rx_seq = 0;
-  if (status != nullptr) *status = st;
-  return which;
 }
 
 bool Comm::test(Request& request, Status* status) {
   if (!request.valid()) throw MpiError("test on an empty Request");
   if (request.coll_ != nullptr) {
-    if (!advance_collective(request.coll_, /*blocking=*/false)) return false;
-    if (status != nullptr) *status = request.coll_->status;
-    return true;
+    if (!advance(*request.coll_, /*blocking=*/false)) return false;
+  } else {
+    std::unique_lock<std::mutex> lock(runtime_->mutex());
+    if (!request.can_progress()) return false;
   }
-  auto rs = request.state_;
-
-  std::unique_lock<std::mutex> lock(runtime_->mutex());
-  detail::RankState& st = state();
-  const bool done = rs->kind == detail::RequestState::Kind::kSend
-                        ? (rs->done || rs->envelope->matched)
-                        : rs->done;
-  if (!done) return false;
-  if (!rs->error.empty()) throw MpiError(rs->error);
-  if (rs->kind == detail::RequestState::Kind::kSend &&
-      rs->envelope->rendezvous && !rs->done) {
-    rs->done = true;
-    rs->completion_time = rs->envelope->completion_time;
-  }
-  const double completion = std::max(st.clock, rs->completion_time);
-  st.stats.sim_comm_seconds += completion - st.clock;
-  st.clock = completion;
-  if (rs->kind == detail::RequestState::Kind::kRecv && !rs->internal &&
-      !rs->consumed) {
-    st.stats.p2p_bytes_received += rs->status.bytes;
-    ++st.stats.p2p_messages_received;
-    record_channel_received(st, runtime_->options().record_channels,
-                            rs->src_world, rs->status.bytes);
-  }
-  rs->consumed = true;
-  if (status != nullptr) *status = rs->status;
+  // Completes without blocking (adopts clocks/counters idempotently).
+  const Status st = wait_nocount(request);
+  // test and wait_any record no trace event of their own; drop the pending
+  // message edge so it cannot leak into the next traced operation.
+  state().last_rx_seq = 0;
+  if (status != nullptr) *status = st;
   return true;
 }
 
@@ -1129,10 +1054,9 @@ bool Comm::recv_ack_timeout(std::span<std::byte> data, int source, int tag,
       throw MpiError("reliable delivery: oversized acknowledgement frame");
     }
     const Status stt{env->source, env->tag, env->payload.size()};
+    // The ack bypasses the ingress link (detail::is_reliable_ack).
     const double completion =
-        std::max({st.clock, env->arrival_head, mb.link_busy_until}) +
-        env->byte_time;
-    mb.link_busy_until = completion;
+        std::max(st.clock, env->arrival_head) + env->byte_time;
     env->completion_time = completion;
     st.stats.sim_comm_seconds += completion - st.clock;
     st.clock = completion;

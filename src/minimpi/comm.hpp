@@ -28,12 +28,12 @@ concept Trivial = std::is_trivially_copyable_v<T>;
 
 /// Handle to a pending non-blocking operation: a p2p isend/irecv, or a
 /// nonblocking collective (ibcast/ireduce/iallreduce/iallgatherv).
-/// Complete it with Comm::wait()/test()/wait_all()/wait_any(); destroying
-/// an incomplete Request is allowed (the transfer still happens, like a
-/// forgotten MPI request leak), and destroying a completed-but-unwaited
-/// collective request is safe — all pending state is owned by the request
-/// or the mailbox, never borrowed from it.  Collective requests must be
-/// completed on the communicator that issued them.
+/// Complete it with Comm::wait()/test()/wait_all()/wait_any().  Destroying
+/// an incomplete p2p Request is allowed (the transfer still happens, like a
+/// forgotten MPI request leak); destroying an incomplete collective Request
+/// abandons its remaining steps (its peers may then never complete) and
+/// retracts its posted receive.  Collective requests must be completed on
+/// the communicator that issued them, which must not be moved meanwhile.
 class Request {
  public:
   Request() = default;
@@ -52,6 +52,9 @@ class Request {
       : state_(std::move(state)) {}
   explicit Request(std::shared_ptr<detail::CollectiveState> coll)
       : coll_(std::move(coll)) {}
+  /// Whether wait() can advance without blocking: a p2p request is done,
+  /// or a collective finished or may resume (runtime lock held; comm.cpp).
+  [[nodiscard]] bool can_progress() const;
 
   std::shared_ptr<detail::RequestState> state_;
   std::shared_ptr<detail::CollectiveState> coll_;
@@ -387,9 +390,9 @@ class Comm {
                   std::span<T> recv_data) {
     count_call(Primitive::kAllgather);
     const TraceStart t0 = trace_begin();
-    gatherv_bytes(as_bytes(send_data), recv_counts, displs,
-                  as_writable_bytes(recv_data), sizeof(T), 0);
-    bcast_bytes(as_writable_bytes(recv_data), 0);
+    Request req = iallgatherv_bytes(as_bytes(send_data), recv_counts, displs,
+                                    as_writable_bytes(recv_data), sizeof(T));
+    wait_nocount(req);
     trace_end(Primitive::kAllgather, -1, 0, recv_data.size_bytes(), t0);
   }
 
@@ -398,10 +401,11 @@ class Comm {
               int root) {
     count_call(Primitive::kReduce);
     const TraceStart t0 = trace_begin();
-    reduce_bytes(as_bytes(send_data),
-                 root == rank_ ? as_writable_bytes(recv_data)
-                               : std::span<std::byte>{},
-                 sizeof(T), make_reduce_fn<T>(op), root);
+    Request req = ireduce_bytes(as_bytes(send_data),
+                                root == rank_ ? as_writable_bytes(recv_data)
+                                              : std::span<std::byte>{},
+                                sizeof(T), make_reduce_fn<T>(op), root);
+    wait_nocount(req);
     trace_end(Primitive::kReduce, root, 0, send_data.size_bytes(), t0);
   }
 
@@ -410,8 +414,10 @@ class Comm {
                  Op op) {
     count_call(Primitive::kAllreduce);
     const TraceStart t0 = trace_begin();
-    allreduce_bytes(as_bytes(send_data), as_writable_bytes(recv_data),
-                    sizeof(T), make_reduce_fn<T>(op));
+    Request req =
+        iallreduce_bytes(as_bytes(send_data), as_writable_bytes(recv_data),
+                         sizeof(T), make_reduce_fn<T>(op));
+    wait_nocount(req);
     trace_end(Primitive::kAllreduce, -1, 0, send_data.size_bytes(), t0);
   }
 
@@ -458,22 +464,29 @@ class Comm {
   }
 
   // ---- Nonblocking collectives ---------------------------------------------
-  // Issue returns immediately with a Request that composes with wait()/
-  // test()/wait_all()/wait_any(), including mixed sets with p2p requests.
-  // All ranks must issue the same collectives in the same order on a
-  // communicator (interleaved freely with blocking collectives); buffers
-  // must stay alive until the request completes.  Progress needs no extra
-  // threads: eager internal sends complete at post, posted receives
-  // complete when the sender delivers, and root-side fan-in is ingested by
-  // the completing wait/test.  Results are bit-identical across backends
-  // and runs: reductions always combine in ascending comm-rank order.
-  // That matches the blocking collectives exactly for exact ops (integer,
-  // min/max); floating-point sums can differ from the blocking *tree*
-  // algorithms in the last bits, since trees bracket differently.
+  // Issue returns with a Request that composes with wait()/test()/
+  // wait_all()/wait_any(), including mixed sets with p2p requests.  All
+  // ranks must issue the same collectives in the same order on a
+  // communicator (interleaved freely with blocking collectives); send and
+  // receive buffers must stay alive and unmodified until the request
+  // completes.  Each icollective runs the same algorithm as its blocking
+  // form (blocking X is iX + wait), so results are bit-identical to it.
+  // There is no progress thread: issue runs the algorithm up to its first
+  // receive, and wait/test/wait_any resume it in program order.  As MPI
+  // requires, every member must complete the collective.  The progress
+  // rule is stricter than MPI's, because there is no progress engine:
+  // only wait/test/wait_any on a request move it, so an interior tree
+  // rank forwards nothing while it blocks in a receive or in the wait of
+  // another request, and a peer's request may not complete until that
+  // rank waits or tests its own.  No member may therefore block on a peer
+  // before completing the collective (a cycle ends in DeadlockError).
+  // Completing in-flight collectives in issue order on every member is
+  // always safe.  ROADMAP item 3 records the progress engine this lacks.
 
-  /// Nonblocking broadcast.  The root completes at issue (fan-out is
-  /// eager); non-roots complete when the payload arrives — posting early
-  /// and waiting late is what overlaps the transfer with compute.
+  /// Nonblocking broadcast, flat from the root: the root completes at issue
+  /// and every other rank completes as soon as the root's payload arrives,
+  /// independent of its peers' waits — posting early and waiting late is
+  /// what overlaps the transfer with compute.
   template <Trivial T>
   Request ibcast(std::span<T> data, int root) {
     count_call(Primitive::kIbcast);
@@ -483,9 +496,9 @@ class Comm {
     return req;
   }
 
-  /// Nonblocking reduce-to-root.  Non-roots complete at issue; the root's
-  /// wait ingests the contributions (ascending comm rank) and combines
-  /// into `recv_data` (ignored on non-roots).
+  /// Nonblocking reduce-to-root (binomial tree, as reduce); `recv_data` is
+  /// ignored on non-roots.  Leaves complete at issue; an interior rank
+  /// forwards its subtree's partial result only inside its own wait/test.
   template <Trivial T, typename Op>
   Request ireduce(std::span<const T> send_data, std::span<T> recv_data,
                   Op op, int root) {
@@ -499,9 +512,7 @@ class Comm {
     return req;
   }
 
-  /// Nonblocking allreduce (reduce to comm rank 0, broadcast back).  Rank
-  /// 0's wait combines and fans the result out; other ranks complete when
-  /// the result arrives on their pre-posted receive.
+  /// Nonblocking allreduce; picks its algorithm exactly as allreduce does.
   template <Trivial T, typename Op>
   Request iallreduce(std::span<const T> send_data, std::span<T> recv_data,
                      Op op) {
@@ -514,9 +525,10 @@ class Comm {
     return req;
   }
 
-  /// Nonblocking variable-size allgather: rank i contributes
-  /// recv_counts[i] elements, gathered at displs[i] on every rank.
-  /// Completes when all p-1 incoming slices have landed in `recv_data`.
+  /// Nonblocking variable-size allgather (gatherv to rank 0, then bcast):
+  /// rank i contributes recv_counts[i] elements, gathered at displs[i] on
+  /// every rank.  Every rank receives the result, so every rank's request
+  /// completes only after the gather root has waited or tested its own.
   template <Trivial T>
   Request iallgatherv(std::span<const T> send_data,
                       std::span<const std::size_t> recv_counts,
@@ -649,15 +661,26 @@ class Comm {
   detail::StagedBuffer stage_acquire(std::size_t n);
   detail::StagedBuffer stage_copy(std::span<const std::byte> src);
   void send_staged(const detail::StagedBuffer& data, int dest, int tag);
-  detail::StagedBuffer recv_staged(int source, int tag,
-                                   Status* status = nullptr);
+  // (Staged receives are co_recv_staged, below.)
+
+  // Receive halves shared by irecv and the collective engine (comm.cpp).
+  // post_recv matches an already-queued message at once (`ready`) or posts
+  // the receive; finish_recv adopts a completed internal receive's clock
+  // and copy counters, throwing on a truncation error.
+  std::shared_ptr<detail::RequestState> post_recv(std::span<std::byte> data,
+                                                  int source, int tag,
+                                                  bool internal, bool staged,
+                                                  bool& ready);
+  Status finish_recv(const detail::RequestState& rs);
 
   void count_algo(CollectiveAlgo a) {
     ++state().stats.algo_uses[static_cast<std::size_t>(a)];
   }
 
   // Collective building blocks (collectives.cpp).
-  int next_collective_tag();
+  /// Reserves `n` internal tags and returns the first; a routine given it
+  /// uses tag, tag - 1, ..., tag - n + 1.
+  int next_collective_tag(int n = 1);
   void bcast_bytes(std::span<std::byte> data, int root);
   void scatter_bytes(std::span<const std::byte> send,
                      std::span<std::byte> recv, int root);
@@ -675,11 +698,6 @@ class Comm {
                      int root);
   void allgather_bytes(std::span<const std::byte> send,
                        std::span<std::byte> recv);
-  void reduce_bytes(std::span<const std::byte> send, std::span<std::byte> recv,
-                    std::size_t elem_size, const ReduceFn& op, int root);
-  void allreduce_bytes(std::span<const std::byte> send,
-                       std::span<std::byte> recv, std::size_t elem_size,
-                       const ReduceFn& op);
   void scan_bytes(std::span<const std::byte> send, std::span<std::byte> recv,
                   std::size_t elem_size, const ReduceFn& op);
   void alltoall_bytes(std::span<const std::byte> send,
@@ -692,12 +710,8 @@ class Comm {
                        std::span<const std::size_t> recv_displs,
                        std::size_t elem_size);
 
-  // Nonblocking collectives (icollectives.cpp) and their completion engine
-  // (comm.cpp).  advance_collective() drives a CollectiveState to
-  // completion: waits/checks the posted subs, verifies (non-blocking) or
-  // performs (blocking, via `finish`) the lazy root-side ingestion, and
-  // marks the request done.  Returns false when non-blocking and not yet
-  // completable.
+  // Nonblocking collectives, which their blocking forms wait on: validate,
+  // pick the algorithm, reserve its tags, issue its routine.
   Request ibcast_bytes(std::span<std::byte> data, int root);
   Request ireduce_bytes(std::span<const std::byte> send,
                         std::span<std::byte> recv, std::size_t elem_size,
@@ -710,31 +724,68 @@ class Comm {
                             std::span<const std::size_t> displs,
                             std::span<std::byte> recv,
                             std::size_t elem_size);
-  bool advance_collective(const std::shared_ptr<detail::CollectiveState>& cs,
-                          bool blocking);
 
-  // Alternative collective algorithms (collectives.cpp).
-  void scatter_tree(std::span<const std::byte> send, std::span<std::byte> recv,
-                    int root, int tag);
-  void scatterv_tree(std::span<const std::byte> send,
-                     std::span<const std::size_t> counts,
-                     std::span<const std::size_t> displs,
-                     std::span<std::byte> recv, std::size_t elem_size,
-                     int root, int tag);
-  void gather_tree(std::span<const std::byte> send, std::span<std::byte> recv,
-                   int root, int tag);
-  void gatherv_tree(std::span<const std::byte> send,
-                    std::span<const std::size_t> counts,
-                    std::span<const std::size_t> displs,
-                    std::span<std::byte> recv, std::size_t elem_size,
-                    int root, int tag);
-  void allgather_ring(std::span<const std::byte> send,
-                      std::span<std::byte> recv);
-  void allreduce_rd(std::span<const std::byte> send, std::span<std::byte> recv,
-                    std::size_t elem_size, const ReduceFn& op);
-  void allreduce_ring(std::span<const std::byte> send,
-                      std::span<std::byte> recv, std::size_t elem_size,
-                      const ReduceFn& op);
+  // The collective engine.  issue() runs a routine up to its first receive
+  // (collectives.cpp); complete() is issue() + wait; advance() resumes it in
+  // program order — as far as it gets without blocking unless `blocking` —
+  // and returns whether it finished (comm.cpp).  co_await co_recv(...)
+  // inside a routine posts one internal receive and suspends until it
+  // completes: into `data`, or staged (then it yields the StagedBuffer).
+  template <bool Staged>
+  struct CoRecv;
+  CoRecv<false> co_recv(std::span<std::byte> data, int source, int tag);
+  CoRecv<true> co_recv_staged(int source, int tag);
+  Request issue(detail::CollTask task);
+  void complete(detail::CollTask task);
+  bool advance(detail::CollectiveState& cs, bool blocking);
+
+  // Collective algorithms (collectives.cpp).  The routines are the only
+  // implementation of each algorithm with a nonblocking form; their tags
+  // are reserved by the caller at issue, before any routine can suspend.
+  /// The scatter/gather family's tree-or-linear choice.
+  [[nodiscard]] bool uses_tree(CollectiveAlgorithm choice) const;
+  detail::CollTask scatter_tree(std::span<const std::byte> send,
+                                std::span<std::byte> recv, int root, int tag);
+  detail::CollTask scatterv_tree(std::span<const std::byte> send,
+                                 std::span<const std::size_t> counts,
+                                 std::span<const std::size_t> displs,
+                                 std::span<std::byte> recv,
+                                 std::size_t elem_size, int root, int tag);
+  detail::CollTask gather_tree(std::span<const std::byte> send,
+                               std::span<std::byte> recv, int root, int tag);
+  detail::CollTask allgather_ring(std::span<const std::byte> send,
+                                  std::span<std::byte> recv, int tag);
+  detail::CollTask bcast_tree(std::span<std::byte> data, int root, int tag);
+  detail::CollTask bcast_flat(std::span<std::byte> data, int root, int tag);
+  detail::CollTask gatherv_linear(std::span<const std::byte> send,
+                                  std::span<const std::size_t> counts,
+                                  std::span<const std::size_t> displs,
+                                  std::span<std::byte> recv,
+                                  std::size_t elem_size, int root, int tag);
+  detail::CollTask gatherv_tree(std::span<const std::byte> send,
+                                std::span<const std::size_t> counts,
+                                std::span<const std::size_t> displs,
+                                std::span<std::byte> recv,
+                                std::size_t elem_size, int root, int tag);
+  detail::CollTask allgatherv_gather_bcast(std::span<const std::byte> send,
+                                           std::vector<std::size_t> counts,
+                                           std::vector<std::size_t> displs,
+                                           std::span<std::byte> recv,
+                                           std::size_t elem_size, int tag);
+  detail::CollTask reduce_tree(std::span<const std::byte> send,
+                               std::span<std::byte> recv,
+                               std::size_t elem_size, ReduceFn op, int root,
+                               int tag);
+  detail::CollTask allreduce_reduce_bcast(std::span<const std::byte> send,
+                                          std::span<std::byte> recv,
+                                          std::size_t elem_size, ReduceFn op,
+                                          int tag);
+  detail::CollTask allreduce_rd(std::span<const std::byte> send,
+                                std::span<std::byte> recv,
+                                std::size_t elem_size, ReduceFn op, int tag);
+  detail::CollTask allreduce_ring(std::span<const std::byte> send,
+                                  std::span<std::byte> recv,
+                                  std::size_t elem_size, ReduceFn op, int tag);
 
   detail_runtime::Runtime* runtime_;
   int world_rank_;

@@ -1,14 +1,15 @@
 // Internal message-transport structures.  Nothing in this header is part of
 // the public API; it is included by comm.hpp only because Request hands out
-// a shared handle to a RequestState.
+// a shared handle to a RequestState or a CollectiveState.
 #pragma once
 
 #include <array>
+#include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <deque>
-#include <functional>
+#include <exception>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -16,6 +17,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "minimpi/pool.hpp"
@@ -24,9 +26,9 @@
 #include "minimpi/types.hpp"
 #include "support/rng.hpp"
 
-namespace dipdc::minimpi {
-class Comm;  // CollectiveState::finish runs against the completing Comm
-}  // namespace dipdc::minimpi
+namespace dipdc::minimpi::detail_runtime {
+class Runtime;  // CollectiveState retracts its posted receive through it
+}  // namespace dipdc::minimpi::detail_runtime
 
 namespace dipdc::minimpi::detail {
 
@@ -224,40 +226,92 @@ struct RequestState {
   std::shared_ptr<Envelope> envelope;
 };
 
-/// State behind a nonblocking-collective Request (ibcast / ireduce /
-/// iallreduce / iallgatherv).  A flat (star) schedule decomposed into three
-/// parts, all created at issue time:
-///
-///  - `subs`: sub-operations posted immediately — eager internal isends
-///    (complete at post) and posted internal irecvs (complete at delivery,
-///    which is what buys compute/communication overlap);
-///  - `ingests`: root-side fan-in messages received *lazily* at completion
-///    time, in list order.  They arrive as unexpected internal messages
-///    while the root computes; deferring the receive keeps the simulated
-///    ingress-link accounting in a receiver-chosen, deterministic order
-///    (posting p-1 concurrent irecvs would make the clocks depend on the
-///    real-time arrival schedule);
-///  - `finish`: deferred local work run once every sub completed — performs
-///    the lazy ingestion (blocking receives that fast-path because test()/
-///    wait_any() only declare completability once every ingest is queued),
-///    combines/copies out, and may post eager follow-up sends.  It must
-///    never block on traffic outside `ingests`, and is cleared only after
-///    it ran to completion so a wait after RankFailedError rethrows instead
-///    of silently succeeding.
-struct CollectiveState {
-  std::vector<std::shared_ptr<RequestState>> subs;
-  /// subs[0..completed) have been waited (clocks adopted).
-  std::size_t completed = 0;
+struct CollectiveState;
 
-  struct Ingest {
-    int source = 0;  // comm rank
-    int tag = 0;     // collective-internal tag
+/// One collective algorithm written as a resumable routine (a C++20
+/// coroutine).  It suspends only where it awaits a receive; everything
+/// else — sends, combines, copies — runs inline whenever it is resumed.
+/// A routine may `co_await` another CollTask (reduce+bcast, gatherv+bcast),
+/// which runs the callee inside the caller's request.
+class CollTask {
+ public:
+  struct promise_type {
+    CollectiveState* state = nullptr;
+    std::coroutine_handle<> caller;  // set when awaited by another task
+    std::exception_ptr error;
+
+    CollTask get_return_object() {
+      return CollTask(std::coroutine_handle<promise_type>::from_promise(*this));
+    }
+    std::suspend_always initial_suspend() noexcept { return {}; }
+    /// Finishing hands control back to the awaiting caller, if any.
+    auto final_suspend() noexcept {
+      struct ToCaller {
+        bool await_ready() noexcept { return false; }
+        std::coroutine_handle<> await_suspend(
+            std::coroutine_handle<promise_type> h) noexcept {
+          const std::coroutine_handle<> c = h.promise().caller;
+          return c ? c : std::noop_coroutine();
+        }
+        void await_resume() noexcept {}
+      };
+      return ToCaller{};
+    }
+    void return_void() noexcept {}
+    void unhandled_exception() noexcept { error = std::current_exception(); }
   };
-  std::vector<Ingest> ingests;
+  using Handle = std::coroutine_handle<promise_type>;
 
-  std::function<void(Comm&)> finish;
-  bool done = false;
+  CollTask(CollTask&& other) noexcept : h_(std::exchange(other.h_, {})) {}
+  CollTask& operator=(CollTask&&) = delete;
+  ~CollTask() {
+    if (h_) h_.destroy();
+  }
+
+  /// Awaiting a sub-task runs it in the caller's request; its exception,
+  /// if any, propagates into the caller.
+  bool await_ready() const noexcept { return false; }
+  Handle await_suspend(Handle caller) noexcept {
+    h_.promise().state = caller.promise().state;
+    h_.promise().caller = caller;
+    return h_;
+  }
+  void await_resume() const {
+    if (h_.promise().error) std::rethrow_exception(h_.promise().error);
+  }
+
+  /// Transfers ownership of the coroutine frame.
+  Handle release() { return std::exchange(h_, {}); }
+
+ private:
+  explicit CollTask(Handle h) : h_(h) {}
+  Handle h_;
+};
+
+/// State behind a collective Request: the routine's frame and the one
+/// receive it is currently suspended on.  Comm::advance resumes the
+/// routine in the owning rank's program order (inside wait/test/wait_any),
+/// so there is no progress thread and at most one posted receive per
+/// in-flight collective per rank.
+struct CollectiveState {
+  CollectiveState(detail_runtime::Runtime* rt, int rank, CollTask task);
+  /// Retracts a still-posted receive, then frees the frame (comm.cpp).
+  ~CollectiveState();
+  CollectiveState(const CollectiveState&) = delete;
+  CollectiveState& operator=(const CollectiveState&) = delete;
+
+  CollTask::Handle top;
+  std::coroutine_handle<> resume;         // innermost suspended routine
+  std::shared_ptr<RequestState> pending;  // the receive it awaits
+  /// True while issue runs the routine: it then stops at its first
+  /// receive even when that receive matched at once.
+  bool issuing = true;
   Status status{};  // collectives carry no source/tag/bytes
+  detail_runtime::Runtime* runtime;
+  int world_rank;
+  /// False once the world is torn down: a request that outlives its run()
+  /// has nobody left to retract from.
+  std::shared_ptr<const bool> world_alive;
 };
 
 /// Does envelope `e` satisfy posted-receive (or blocking-receive) filters?
@@ -284,6 +338,16 @@ struct ReliableHeader {
 /// never touches them; collectives consume strictly negative internal
 /// tags, so any positive constant is collision-free.
 inline constexpr int kReliableAckTag = 0x7ACC;
+
+/// True for a reliable-delivery acknowledgement.  The control channel
+/// does not share the receiver's simulated ingress link, so an ack
+/// completes at max(receiver clock, arrival head) + byte time and leaves
+/// Mailbox::link_busy_until alone.  That keeps send_reliable send-side
+/// work: its clock never depends on whether a posted receive's payload
+/// was delivered before or after the ack in real time.
+inline bool is_reliable_ack(const Envelope& env) {
+  return env.internal && env.tag == kReliableAckTag;
+}
 
 /// Directed per-channel traffic tally (RuntimeOptions::record_channels).
 struct ChannelCount {

@@ -75,6 +75,7 @@ Runtime::Runtime(int nranks, RuntimeOptions options)
 }
 
 Runtime::~Runtime() {
+  *live_flag_ = false;
   try {
     backend_->finalize();
   } catch (...) {
@@ -121,11 +122,14 @@ std::shared_ptr<detail::RequestState> Runtime::deliver_locked(
     req->trace_seq = env->trace_seq;
     // Receiver-side link serialization: the payload streams in only after
     // the receive is posted, the head arrives, and the ingress link is
-    // free from earlier messages.
-    const double start = std::max({req->post_time, env->arrival_head,
-                                   mb.link_busy_until});
+    // free from earlier messages (acks bypass the link).
+    const bool ack = detail::is_reliable_ack(*env);
+    const double start =
+        ack ? std::max(req->post_time, env->arrival_head)
+            : std::max({req->post_time, env->arrival_head,
+                        mb.link_busy_until});
     const double completion = start + env->byte_time;
-    mb.link_busy_until = completion;
+    if (!ack) mb.link_busy_until = completion;
     req->completion_time = completion;
     env->completion_time = completion;
     mb.posted.erase(it);

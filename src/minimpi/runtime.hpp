@@ -157,6 +157,12 @@ class Runtime {
   /// dead rank's (recovered-from) RankFailedError.  Read after join.
   [[nodiscard]] bool recovered() const { return recovered_; }
 
+  /// True until this Runtime is destroyed (shared with collective requests,
+  /// which may outlive run()).
+  [[nodiscard]] std::shared_ptr<const bool> live_flag() const {
+    return live_flag_;
+  }
+
   std::mutex& mutex() { return mu_; }
   std::condition_variable& condvar() { return cv_; }
   detail::Mailbox& mailbox(int rank) {
@@ -234,6 +240,7 @@ class Runtime {
   std::vector<RankLife> life_;
   bool abort_from_kill_ = false;   // aborted_ was raised by a kill
   bool recovered_ = false;         // a shrink barrier completed
+  std::shared_ptr<bool> live_flag_ = std::make_shared<bool>(true);
   bool shrink_poisoned_ = false;   // a survivor died mid-agreement
   int shrink_generation_ = 0;
   int shrink_acks_ = 0;

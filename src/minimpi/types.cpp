@@ -22,6 +22,7 @@ std::string_view collective_algo_name(CollectiveAlgo a) {
   static constexpr std::array<std::string_view, kCollectiveAlgoCount> names =
       {
           "barrier/dissemination", "bcast/binomial",
+          "bcast/linear",
           "scatter/linear",        "scatter/binomial",
           "scatterv/linear",       "scatterv/binomial",
           "gather/linear",         "gather/binomial",
@@ -31,8 +32,6 @@ std::string_view collective_algo_name(CollectiveAlgo a) {
           "allreduce/recursive-doubling", "allreduce/rabenseifner",
           "alltoall/pairwise",     "alltoallv/pairwise",
           "scan/linear",
-          "ibcast/linear",         "ireduce/linear",
-          "iallreduce/reduce+bcast", "iallgatherv/linear",
       };
   const auto idx = static_cast<std::size_t>(a);
   return idx < names.size() ? names[idx] : std::string_view{"?"};

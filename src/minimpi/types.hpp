@@ -84,6 +84,9 @@ std::string_view primitive_name(Primitive p);
 enum class CollectiveAlgo : std::size_t {
   kBarrierDissemination,
   kBcastBinomial,
+  /// Flat fan-out from the root: the nonblocking broadcast (collectives.cpp
+  /// records why it does not use the binomial tree).
+  kBcastLinear,
   kScatterLinear,
   kScatterBinomial,
   kScattervLinear,
@@ -101,13 +104,6 @@ enum class CollectiveAlgo : std::size_t {
   kAlltoallPairwise,
   kAlltoallvPairwise,
   kScanLinear,
-  // Nonblocking collectives run flat (star) schedules: completion order is
-  // driven by the waiting rank, not a tree, so overlap with compute is
-  // maximal and root-side fan-in stays deterministic.
-  kIbcastLinear,
-  kIreduceLinear,
-  kIallreduceReduceBcast,
-  kIallgathervLinear,
   kCount,  // sentinel
 };
 

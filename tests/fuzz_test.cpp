@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -183,42 +184,59 @@ TEST(FuzzOracle, IcollectiveOpsOffRegeneratesLegacyProgramsUnchanged) {
   }
 }
 
-TEST(FuzzGenerate, IallreduceRootWaitIsPinnedToNextFlush) {
-  // iallreduce completions on non-roots depend on comm rank 0 executing
-  // its wait (the fan-out happens there), so the generator must never
-  // schedule another blocking op for comm rank 0 between its issue and
-  // its wait — the deferred wait is pinned to the very next event.
+TEST(FuzzGenerate, IcollectiveMembersShareOneWaitDueEvent) {
+  // Any member's wait may have to forward for its peers (tree algorithms
+  // progress only inside waits), so every member must wait at the same
+  // flush: one event boundary must separate all members' earlier ops from
+  // their later ones, like a blocking collective at that event.
   fz::GenConfig cfg = small_config();
   cfg.icollective_ops = true;
   std::size_t checked = 0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const fz::Program p = fz::generate(seed, cfg);
+    // Per icollective event: the latest non-wait event a member runs
+    // before its wait, and the earliest it runs after.
+    std::map<std::uint32_t, std::pair<std::uint32_t, std::uint32_t>> bounds;
     for (const auto& rank_ops : p.ops) {
       for (std::size_t i = 0; i < rank_ops.size(); ++i) {
         const fz::Op& op = rank_ops[i];
-        if (op.kind != fz::OpKind::kIallreduce) continue;
-        const auto& members = p.comm_info(op.comm).members;
-        const int world = members.front();  // comm rank 0
-        if (&rank_ops != &p.ops[static_cast<std::size_t>(world)]) continue;
-        // Only other deferred waits (all on earlier requests, which
-        // cannot block on this rank's future ops) may precede the
-        // matching wait in comm rank 0's op list.
-        bool found = false;
+        if (op.kind != fz::OpKind::kIbcast &&
+            op.kind != fz::OpKind::kIreduce &&
+            op.kind != fz::OpKind::kIallreduce &&
+            op.kind != fz::OpKind::kIallgatherv) {
+          continue;
+        }
+        std::uint32_t before = op.event;
+        std::uint32_t after = p.num_events;
+        bool waited = false;
         for (std::size_t j = i + 1; j < rank_ops.size(); ++j) {
           const fz::Op& next = rank_ops[j];
-          ASSERT_EQ(next.kind, fz::OpKind::kWait)
-              << "blocking op before comm rank 0's iallreduce wait";
-          if (next.event == op.event && next.req == op.req) {
-            found = true;
-            break;
+          if (next.kind == fz::OpKind::kWait) {
+            if (next.event == op.event && next.req == op.req) waited = true;
+            continue;
+          }
+          if (waited) {
+            after = std::min(after, next.event);
+          } else {
+            before = std::max(before, next.event);
           }
         }
-        EXPECT_TRUE(found);
-        ++checked;
+        EXPECT_TRUE(waited) << "seed " << seed << " event " << op.event;
+        auto [it, fresh] = bounds.try_emplace(op.event, before, after);
+        if (!fresh) {
+          it->second.first = std::max(it->second.first, before);
+          it->second.second = std::min(it->second.second, after);
+        }
       }
     }
+    for (const auto& [event, b] : bounds) {
+      EXPECT_LT(b.first, b.second)
+          << "seed " << seed << ": members of icollective event " << event
+          << " wait at different flushes";
+      ++checked;
+    }
   }
-  EXPECT_GT(checked, 0u) << "no seed in [1,20] generated an iallreduce";
+  EXPECT_GT(checked, 0u) << "no seed in [1,20] generated an icollective";
 }
 
 TEST(FuzzOracle, ContainerOpsOffRegeneratesLegacyProgramsUnchanged) {
@@ -467,7 +485,9 @@ TEST(FuzzProgram, RacyIrecvWindowDetection) {
     for (const fz::OpKind k : kinds) {
       fz::Op op;
       op.kind = k;
-      if (k == fz::OpKind::kIrecv) op.req = next_req++;
+      if (k == fz::OpKind::kIrecv || k == fz::OpKind::kIreduce) {
+        op.req = next_req++;
+      }
       if (k == fz::OpKind::kWait) op.req = --next_req;
       p.ops[0].push_back(op);
     }
@@ -480,6 +500,9 @@ TEST(FuzzProgram, RacyIrecvWindowDetection) {
                    .has_racy_irecv_window());
   EXPECT_FALSE(make({K::kIrecv, K::kContainerSetWeight, K::kWait})
                    .has_racy_irecv_window());
+  // send_reliable's ack bypasses the ingress link, so it is a send here.
+  EXPECT_FALSE(make({K::kIrecv, K::kSendReliable, K::kWait})
+                   .has_racy_irecv_window());
   EXPECT_FALSE(make({K::kRecv, K::kBarrier}).has_racy_irecv_window());
   // Racy: a blocking receive, collective, or repartition inside the
   // window, or two receives posted at once.
@@ -489,6 +512,13 @@ TEST(FuzzProgram, RacyIrecvWindowDetection) {
   EXPECT_TRUE(make({K::kIrecv, K::kContainerRepartition, K::kWait})
                   .has_racy_irecv_window());
   EXPECT_TRUE(make({K::kIrecv, K::kIrecv, K::kWait, K::kWait})
+                  .has_racy_irecv_window());
+  // An in-flight icollective counts as one posted receive.
+  EXPECT_FALSE(make({K::kIreduce, K::kSend, K::kWait, K::kRecv})
+                   .has_racy_irecv_window());
+  EXPECT_TRUE(
+      make({K::kIreduce, K::kRecv, K::kWait}).has_racy_irecv_window());
+  EXPECT_TRUE(make({K::kIreduce, K::kIrecv, K::kWait, K::kWait})
                   .has_racy_irecv_window());
 }
 

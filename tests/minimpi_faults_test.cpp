@@ -12,6 +12,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "minimpi/comm.hpp"
@@ -489,4 +490,41 @@ TEST(ReliableDelivery, SoleSurvivorSenderTimesOutInsteadOfHanging) {
     EXPECT_NE(std::string(e.what()).find("retry budget exhausted"),
               std::string::npos);
   }
+}
+
+TEST(ReliableDelivery, AckTimingIgnoresPostedReceiveDeliveryOrder) {
+  // Rank 0 posts an irecv for 64 KiB from rank 1, then send_reliables to
+  // rank 2.  Whether rank 1's payload lands before or after the ack
+  // (forced here in real time) must not move rank 0's simulated clock:
+  // acks ride the control channel, not the ingress link the payload
+  // occupies.
+  auto clocks_when = [](bool payload_first) {
+    std::atomic<bool> posted{false}, sent{false}, acked{false};
+    std::array<double, 2> clocks{};  // after send_reliable, after the wait
+    mpi::run(3, [&](mpi::Comm& comm) {
+      std::vector<double> big(8192, 1.0);
+      if (comm.rank() == 0) {
+        mpi::Request r = comm.irecv(std::span<double>(big), 1, /*tag=*/1);
+        posted = true;
+        comm.send_reliable_value(7, 2);
+        clocks[0] = comm.wtime();
+        acked = true;
+        comm.wait(r);
+        clocks[1] = comm.wtime();
+      } else if (comm.rank() == 1) {
+        const std::atomic<bool>& go = payload_first ? posted : acked;
+        while (!go) std::this_thread::yield();
+        comm.send(std::span<const double>(big), 0, /*tag=*/1);
+        sent = true;
+      } else {
+        while (payload_first && !sent) std::this_thread::yield();
+        EXPECT_EQ(comm.recv_reliable_value<int>(0), 7);
+      }
+    });
+    return clocks;
+  };
+  const std::array<double, 2> a = clocks_when(true);
+  const std::array<double, 2> b = clocks_when(false);
+  EXPECT_EQ(a[0], b[0]);
+  EXPECT_EQ(a[1], b[1]);
 }

@@ -6,8 +6,10 @@
 // lives in module_determinism_test; this file pins the primitive layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <numeric>
 #include <span>
@@ -22,6 +24,26 @@
 #include "run_forced.hpp"
 
 namespace mpi = dipdc::minimpi;
+namespace dt = dipdc::testing;
+
+namespace {
+
+/// Payloads (in doubles) of the blocking-vs-nonblocking sweeps: 384 B,
+/// then either side of allreduce_rd_threshold (512 B), and 72 KB, past
+/// allreduce_ring_threshold (64 KiB).
+constexpr std::array<std::size_t, 4> kPayloadDoubles = {48, 63, 64, 9216};
+
+/// True when the two vectors hold the same bit patterns (EXPECT_DOUBLE_EQ
+/// would forgive the last-bit differences this sweep must catch).
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](double x, double y) {
+                      return std::bit_cast<std::uint64_t>(x) ==
+                             std::bit_cast<std::uint64_t>(y);
+                    });
+}
+
+}  // namespace
 
 class ICollectiveSweep : public ::testing::TestWithParam<int> {};
 
@@ -54,29 +76,33 @@ TEST_P(ICollectiveSweep, IbcastRootMayReuseBufferAfterIssue) {
 
 TEST_P(ICollectiveSweep, IreduceMatchesBlockingReduce) {
   const int p = GetParam();
-  mpi::run(p, [p](mpi::Comm& comm) {
-    std::vector<double> send(48);
-    for (std::size_t i = 0; i < send.size(); ++i) {
-      send[i] = static_cast<double>(comm.rank() + 1) * 0.5 +
-                static_cast<double>(i) * 0.001;
+  for (const mpi::BackendKind kind : dt::all_backends()) {
+    for (const std::size_t n : kPayloadDoubles) {
+      mpi::run(
+          p,
+          [p, n](mpi::Comm& comm) {
+            std::vector<double> send(n);
+            for (std::size_t i = 0; i < send.size(); ++i) {
+              send[i] = static_cast<double>(comm.rank() + 1) * 0.5 +
+                        static_cast<double>(i) * 0.001;
+            }
+            std::vector<double> blocking(send.size(), 0.0);
+            std::vector<double> nonblocking(send.size(), 0.0);
+            comm.reduce(std::span<const double>(send),
+                        std::span<double>(blocking), mpi::ops::Sum{}, 0);
+            mpi::Request req =
+                comm.ireduce(std::span<const double>(send),
+                             std::span<double>(nonblocking), mpi::ops::Sum{},
+                             0);
+            comm.wait(req);
+            if (comm.rank() == 0) {
+              EXPECT_TRUE(bitwise_equal(blocking, nonblocking))
+                  << "p=" << p << " bytes=" << n * sizeof(double);
+            }
+          },
+          dt::forced(kind));
     }
-    std::vector<double> blocking(send.size(), 0.0);
-    std::vector<double> nonblocking(send.size(), 0.0);
-    comm.reduce(std::span<const double>(send), std::span<double>(blocking),
-                mpi::ops::Sum{}, 0);
-    mpi::Request req =
-        comm.ireduce(std::span<const double>(send),
-                     std::span<double>(nonblocking), mpi::ops::Sum{}, 0);
-    comm.wait(req);
-    if (comm.rank() == 0) {
-      for (std::size_t i = 0; i < send.size(); ++i) {
-        // The nonblocking fold is linear ascending; the blocking reduce
-        // may bracket as a tree, so fp results agree only up to rounding.
-        EXPECT_DOUBLE_EQ(blocking[i], nonblocking[i])
-            << "i=" << i << " p=" << p;
-      }
-    }
-  });
+  }
 }
 
 TEST_P(ICollectiveSweep, IreduceFromNonzeroRoot) {
@@ -98,24 +124,30 @@ TEST_P(ICollectiveSweep, IreduceFromNonzeroRoot) {
 
 TEST_P(ICollectiveSweep, IallreduceMatchesBlockingAllreduce) {
   const int p = GetParam();
-  mpi::run(p, [](mpi::Comm& comm) {
-    std::vector<double> send(40);
-    for (std::size_t i = 0; i < send.size(); ++i) {
-      send[i] = 1.0 / static_cast<double>(comm.rank() + 2) +
-                static_cast<double>(i);
+  for (const mpi::BackendKind kind : dt::all_backends()) {
+    for (const std::size_t n : kPayloadDoubles) {
+      mpi::run(
+          p,
+          [p, n](mpi::Comm& comm) {
+            std::vector<double> send(n);
+            for (std::size_t i = 0; i < send.size(); ++i) {
+              send[i] = 1.0 / static_cast<double>(comm.rank() + 2) +
+                        static_cast<double>(i);
+            }
+            std::vector<double> blocking(send.size(), 0.0);
+            std::vector<double> nonblocking(send.size(), 0.0);
+            comm.allreduce(std::span<const double>(send),
+                           std::span<double>(blocking), mpi::ops::Sum{});
+            mpi::Request req = comm.iallreduce(std::span<const double>(send),
+                                               std::span<double>(nonblocking),
+                                               mpi::ops::Sum{});
+            comm.wait(req);
+            EXPECT_TRUE(bitwise_equal(blocking, nonblocking))
+                << "p=" << p << " bytes=" << n * sizeof(double);
+          },
+          dt::forced(kind));
     }
-    std::vector<double> blocking(send.size(), 0.0);
-    std::vector<double> nonblocking(send.size(), 0.0);
-    comm.allreduce(std::span<const double>(send), std::span<double>(blocking),
-                   mpi::ops::Sum{});
-    mpi::Request req = comm.iallreduce(std::span<const double>(send),
-                                       std::span<double>(nonblocking),
-                                       mpi::ops::Sum{});
-    comm.wait(req);
-    for (std::size_t i = 0; i < send.size(); ++i) {
-      EXPECT_DOUBLE_EQ(blocking[i], nonblocking[i]) << "i=" << i;
-    }
-  });
+  }
 }
 
 TEST_P(ICollectiveSweep, IallgathervConcatenatesInRankOrder) {
@@ -189,7 +221,7 @@ TEST_P(ICollectiveSweep, InterleavesWithBlockingCollectives) {
 }
 
 INSTANTIATE_TEST_SUITE_P(WorldSizes, ICollectiveSweep,
-                         ::testing::Values(1, 2, 3, 4, 8));
+                         ::testing::Values(1, 2, 3, 4, 5, 8));
 
 // ---- Request composition edge cases ---------------------------------------
 
@@ -202,8 +234,8 @@ TEST(ICollectiveRequests, TestPollsToCompletionWithoutBlocking) {
         mpi::ops::Sum{});
     mpi::Status st;
     while (!comm.test(req, &st)) {
-      // Non-zero ranks cannot complete until rank 0's own poll runs the
-      // combine-and-fan-out, so spin on wall-clock, not simulated, time.
+      // The tree's interior ranks (rank 0 included) forward only inside
+      // their own polls, so spin on wall-clock, not simulated, time.
       std::this_thread::yield();
     }
     for (const double v : recv) EXPECT_DOUBLE_EQ(v, 0.0 + 1.0 + 2.0 + 3.0);
@@ -253,10 +285,11 @@ TEST(ICollectiveRequests, WaitAnyOnMixedP2PAndCollectiveSet) {
 }
 
 TEST(ICollectiveRequests, DestroyingCompletedUnwaitedRequestIsSafe) {
-  // Issue on all ranks, synchronize so every transfer has landed, then
-  // drop the requests without ever waiting.  Nothing may leak, dangle, or
-  // trip teardown: root-side fan-in stays in mailbox-owned envelopes and
-  // the runtime clears leftover unexpected messages at join.
+  // Issue on all ranks, synchronize, then drop the requests without ever
+  // waiting.  Nothing may leak, dangle, or trip teardown.  The flat ibcast
+  // and the leaves' (ranks 1 and 3) ireduce have completed; ranks 0 and 2
+  // drop an ireduce routine suspended after a matched receive, because
+  // interior rank 2 forwards only inside its wait.
   mpi::run(4, [](mpi::Comm& comm) {
     std::vector<std::uint64_t> send(16, 1);
     std::vector<std::uint64_t> recv(16, 0);
@@ -265,10 +298,52 @@ TEST(ICollectiveRequests, DestroyingCompletedUnwaitedRequestIsSafe) {
       mpi::Request r2 =
           comm.ireduce(std::span<const std::uint64_t>(send),
                        std::span<std::uint64_t>(recv), mpi::ops::Sum{}, 0);
-      comm.barrier();  // everything eager has been delivered by now
+      comm.barrier();  // every send issued so far has landed by now
       // r1, r2 destroyed here, unwaited.
     }
     comm.barrier();
+  });
+}
+
+TEST(ICollectiveRequests, MemberBlockedOnAPeerIsADeadlock) {
+  // Binomial ireduce at p = 4: rank 2 forwards rank 3's contribution to
+  // the root only inside its own wait.  Blocking in a receive from rank 0
+  // first, while rank 0 waits the ireduce, is a cycle.  With no progress
+  // engine it must end in DeadlockError, not hang.
+  EXPECT_THROW(
+      mpi::run(4,
+               [](mpi::Comm& comm) {
+                 std::vector<int> send(4, 1);
+                 std::vector<int> recv(4, 0);
+                 mpi::Request r = comm.ireduce(std::span<const int>(send),
+                                               std::span<int>(recv),
+                                               mpi::ops::Sum{}, 0);
+                 if (comm.rank() == 2) {
+                   (void)comm.recv_value<int>(0, /*tag=*/5);
+                 }
+                 comm.wait(r);
+                 if (comm.rank() == 0) comm.send_value(1, 2, /*tag=*/5);
+               }),
+      mpi::DeadlockError);
+}
+
+TEST(ICollectiveRequests, DestroyingUnfinishedRequestRetractsItsReceive) {
+  // Rank 1 abandons its ibcast before the root has sent (p2p handshakes
+  // order the two, without consuming collective tags): the root's payload
+  // must then never land in rank 1's buffer.
+  mpi::run(2, [](mpi::Comm& comm) {
+    std::vector<int> data(16, comm.rank() == 0 ? 7 : -1);
+    if (comm.rank() == 1) {
+      { mpi::Request r = comm.ibcast(std::span<int>(data), 0); }
+      comm.send_value(1, 0, /*tag=*/1);
+      EXPECT_EQ(comm.recv_value<int>(0, /*tag=*/2), 2);  // root has sent
+      for (const int v : data) EXPECT_EQ(v, -1);
+    } else {
+      EXPECT_EQ(comm.recv_value<int>(1, /*tag=*/1), 1);
+      mpi::Request r = comm.ibcast(std::span<int>(data), 0);
+      comm.wait(r);
+      comm.send_value(2, 1, /*tag=*/2);
+    }
   });
 }
 
@@ -293,6 +368,18 @@ TEST(ICollectiveRequests, ValidationFailuresThrowAtIssue) {
                  std::vector<int> send(4), recv(8);
                  std::vector<std::size_t> counts = {4, 4};  // short displs
                  std::vector<std::size_t> displs = {0};
+                 comm.iallgatherv(std::span<const int>(send),
+                                  std::span<const std::size_t>(counts),
+                                  std::span<const std::size_t>(displs),
+                                  std::span<int>(recv));
+               }),
+      mpi::MpiError);
+  EXPECT_THROW(
+      mpi::run(2,
+               [](mpi::Comm& comm) {
+                 std::vector<int> send(4), recv(8);
+                 std::vector<std::size_t> counts = {4, 4};
+                 std::vector<std::size_t> displs = {0, 6};  // 6 + 4 > 8
                  comm.iallgatherv(std::span<const int>(send),
                                   std::span<const std::size_t>(counts),
                                   std::span<const std::size_t>(displs),
@@ -354,6 +441,7 @@ TEST(ICollectiveStats, ResultsAndClocksIdenticalAcrossBackends) {
     std::vector<double> reduced;
     std::vector<int> gathered;
     double clock = 0.0;
+    double clock_after_gather = 0.0;
     bool operator==(const Capture&) const = default;
   };
   auto program = [](mpi::Comm& comm) {
@@ -368,11 +456,8 @@ TEST(ICollectiveStats, ResultsAndClocksIdenticalAcrossBackends) {
                                       std::span<double>(out.reduced),
                                       mpi::ops::Sum{});
     comm.wait(r1);
-    // Clock is pinned here: through the allreduce each receive side has at
-    // most one outstanding posted receive, so completion times are
-    // schedule-independent.  iallgatherv posts p-1 concurrent receives,
-    // whose *clocks* legitimately depend on physical arrival order (the
-    // data below stays exact either way), so sample before issuing it.
+    // Each rank has at most one posted receive per in-flight collective,
+    // so completion clocks are schedule-independent after either one.
     out.clock = comm.wtime();
     std::vector<std::size_t> counts(static_cast<std::size_t>(p), 8);
     std::vector<std::size_t> displs(static_cast<std::size_t>(p));
@@ -385,15 +470,19 @@ TEST(ICollectiveStats, ResultsAndClocksIdenticalAcrossBackends) {
         std::span<const int>(mine), std::span<const std::size_t>(counts),
         std::span<const std::size_t>(displs), std::span<int>(out.gathered));
     comm.wait(r2);
+    out.clock_after_gather = comm.wtime();
     return out;
   };
   const Capture base =
       dt::run_forced(4, dt::forced(mpi::BackendKind::kThreads), program);
   EXPECT_GT(base.clock, 0.0);
+  EXPECT_GT(base.clock_after_gather, base.clock);
   for (const mpi::BackendKind kind : dt::other_backends()) {
     const Capture got = dt::run_forced(4, dt::forced(kind), program);
     EXPECT_TRUE(got == base)
-        << "backend " << static_cast<int>(kind)
-        << " diverged (clock " << got.clock << " vs " << base.clock << ")";
+        << "backend " << static_cast<int>(kind) << " diverged (clock "
+        << got.clock << " vs " << base.clock << ", after iallgatherv "
+        << got.clock_after_gather << " vs " << base.clock_after_gather
+        << ")";
   }
 }
