@@ -7,9 +7,9 @@
 // envelope, pushes the frame into its per-rank channel, and receives the
 // frame back after it has genuinely crossed the backend's transport
 // (in-process queue, shared-memory rings serviced by a forked router
-// process, or loopback TCP through a nonblocking relay).  The frame that
-// comes back is deserialized into a fresh pooled envelope and delivered
-// through the ordinary mailbox path.
+// process, or the rank's own connected loopback TCP socket pair).  The
+// frame that comes back is deserialized into a fresh pooled envelope and
+// delivered through the ordinary mailbox path.
 //
 // Because the same rank thread performs delivery at the same program
 // point on every backend, and the simulated-timing fields travel inside
@@ -20,13 +20,16 @@
 //  * channel `r` belongs to world rank `r`; only that rank's thread calls
 //    send(r, ...)/recv(r, ...), and frames echo back in FIFO order;
 //  * send() may block on backpressure but always completes while the
-//    counterpart (router process / relay thread) is alive;
+//    transport (router process / socket pair) is alive; a frame larger
+//    than the transport's buffers never wedges it (see Spill);
 //  * recv() blocks until the next frame for `r` arrives, and fails loudly
 //    (MpiError) instead of hanging forever if the transport dies.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <string_view>
@@ -57,7 +60,7 @@ class Backend {
   /// handoff (borrowed/shared buffers) is safe.
   [[nodiscard]] virtual bool shares_address_space() const = 0;
 
-  /// Establishes the per-rank channels (rings, sockets, router/relay).
+  /// Establishes the per-rank channels (rings + router, socket pairs).
   /// Called exactly once, before any rank thread exists — the shm backend
   /// forks its router here, while the process is still single-threaded.
   virtual void connect(int nranks) = 0;
@@ -69,14 +72,59 @@ class Backend {
   /// `frame` with it.
   virtual void recv(int rank, std::vector<std::byte>& frame) = 0;
 
-  /// Pumps transport I/O.  Backends with an internal progress thread (the
-  /// TCP relay's nonblocking poll loop) drive this themselves; for the
-  /// others it is a no-op hook.
-  virtual void progress() {}
-
-  /// Tears the transport down (stops the router/relay, releases rings and
+  /// Tears the transport down (stops the router, releases rings and
   /// sockets).  Idempotent; also invoked by the destructor.
   virtual void finalize() = 0;
+};
+
+/// The echo rule the shm and tcp backends share.  A frame larger than the
+/// transport's buffers cannot sit in both directions at once: while the
+/// rank is still pushing its tail, the echo of its head fills the return
+/// path, and unless someone drains it both sides wedge.  So a sender that
+/// cannot push parks whatever has come back in its Spill, and every read
+/// serves the spill before the transport: those bytes left the transport
+/// earlier, and transport order is frame order.  Each rank strictly
+/// alternates send/recv on its own channel, so a Spill is plain state
+/// touched only by its rank's thread.
+class Spill {
+ public:
+  /// Parks what `pull(dst, max)` produces without blocking (it returns
+  /// the byte count, 0 when nothing is ready); returns that count.
+  template <class Pull>
+  std::size_t park(std::size_t max, Pull&& pull) {
+    const std::size_t old = bytes_.size();
+    bytes_.resize(old + max);
+    const std::size_t got = pull(bytes_.data() + old, max);
+    bytes_.resize(old + got);
+    return got;
+  }
+
+  /// Fills `frame` with the next length-prefixed frame: parked bytes
+  /// first, then `pull(dst, n)`, which blocks until it has produced at
+  /// least one of the n bytes asked for and returns how many.
+  template <class Pull>
+  void recv_frame(std::vector<std::byte>& frame, Pull&& pull) {
+    std::uint64_t len = 0;
+    read(reinterpret_cast<std::byte*>(&len), sizeof(len), pull);
+    frame.resize(static_cast<std::size_t>(len));
+    read(frame.data(), frame.size(), pull);
+  }
+
+ private:
+  template <class Pull>
+  void read(std::byte* dst, std::size_t n, Pull& pull) {
+    std::size_t got = std::min(n, bytes_.size() - consumed_);
+    if (got > 0) std::memcpy(dst, bytes_.data() + consumed_, got);
+    consumed_ += got;
+    if (consumed_ == bytes_.size()) {
+      bytes_.clear();
+      consumed_ = 0;
+    }
+    while (got < n) got += pull(dst + got, n - got);
+  }
+
+  std::vector<std::byte> bytes_;
+  std::size_t consumed_ = 0;
 };
 
 /// Wire header of one serialized envelope.  All simulated-timing fields

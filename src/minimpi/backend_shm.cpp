@@ -13,6 +13,8 @@
 // them back, and frames larger than the ring simply stream through it in
 // chunks.  The router copies tx -> rx per rank (an echo), using only raw
 // memory operations, atomics, and nanosleep — safe in a forked child.
+// A rank whose tx ring is full parks the echo already waiting on rx in its
+// Spill (backend.hpp), the rule the tcp backend follows too.
 // connect() runs before any rank thread exists, so the fork happens while
 // the parent is effectively single-threaded.
 #include <sys/mman.h>
@@ -192,10 +194,9 @@ class ShmBackend final : public Backend {
 
   void recv(int rank, std::vector<std::byte>& frame) override {
     const std::size_t r = static_cast<std::size_t>(rank);
-    std::uint64_t len = 0;
-    stream_read(r, reinterpret_cast<std::byte*>(&len), sizeof(len));
-    frame.resize(static_cast<std::size_t>(len));
-    stream_read(r, frame.data(), frame.size());
+    spill_[r].recv_frame(frame, [this, r](std::byte* dst, std::size_t n) {
+      return pop_blocking(r, dst, n);
+    });
   }
 
   void finalize() override {
@@ -224,17 +225,12 @@ class ShmBackend final : public Backend {
 
  private:
   /// Blocking stream write with the stall failsafe (parent side only).
-  ///
-  /// Deadlock note: a frame larger than the ring cannot fit in tx and rx at
-  /// once.  While this rank is still pushing the tail of a big frame into
-  /// tx, the router is already echoing its head into rx — and blocks when
-  /// rx fills, at which point it stops draining tx and both sides would
-  /// wedge.  So whenever tx is full the sender drains whatever has already
-  /// come back on rx into a local spill buffer; recv serves the spill
-  /// before touching the ring.  (Each rank strictly alternates send/recv,
-  /// so the spill is plain per-rank state touched only by its own thread.)
+  /// Whenever tx is full, whatever the router has already echoed onto rx
+  /// is parked in the rank's Spill, so a frame larger than the ring cannot
+  /// wedge the router on a full rx.
   void stream_write(std::size_t r, const std::byte* src, std::size_t n) {
     Ring& ring = tx_[r];
+    Ring& rx = rx_[r];
     Backoff backoff;
     auto last_progress = std::chrono::steady_clock::now();
     while (n > 0) {
@@ -246,7 +242,10 @@ class ShmBackend final : public Backend {
         last_progress = std::chrono::steady_clock::now();
         continue;
       }
-      if (drain_to_spill(r) > 0) {
+      const std::size_t parked = spill_[r].park(
+          rx.readable(),
+          [&rx](std::byte* dst, std::size_t k) { return rx.pop_some(dst, k); });
+      if (parked > 0) {
         backoff.reset();
         last_progress = std::chrono::steady_clock::now();
         continue;
@@ -256,51 +255,18 @@ class ShmBackend final : public Backend {
     }
   }
 
-  void stream_read(std::size_t r, std::byte* dst, std::size_t n) {
-    // Echoed bytes parked by stream_write come first: they left the ring
-    // earlier, and ring order is frame order.
-    Spill& spill = spill_[r];
-    if (spill.consumed < spill.bytes.size()) {
-      const std::size_t have = spill.bytes.size() - spill.consumed;
-      const std::size_t take = n < have ? n : have;
-      std::memcpy(dst, spill.bytes.data() + spill.consumed, take);
-      spill.consumed += take;
-      if (spill.consumed == spill.bytes.size()) {
-        spill.bytes.clear();
-        spill.consumed = 0;
-      }
-      dst += take;
-      n -= take;
-    }
+  /// Pops between 1 and n bytes off rx[r], waiting with the stall
+  /// failsafe; returns how many.
+  std::size_t pop_blocking(std::size_t r, std::byte* dst, std::size_t n) {
     Ring& ring = rx_[r];
     Backoff backoff;
-    auto last_progress = std::chrono::steady_clock::now();
-    while (n > 0) {
+    const auto since = std::chrono::steady_clock::now();
+    for (;;) {
       const std::size_t got = ring.pop_some(dst, n);
-      if (got > 0) {
-        dst += got;
-        n -= got;
-        backoff.reset();
-        last_progress = std::chrono::steady_clock::now();
-        continue;
-      }
-      check_stalled(last_progress, "recv");
+      if (got > 0) return got;
+      check_stalled(since, "recv");
       backoff.pause();
     }
-  }
-
-  /// Moves everything currently readable on rx[r] into the spill buffer;
-  /// returns the number of bytes drained.
-  std::size_t drain_to_spill(std::size_t r) {
-    Ring& ring = rx_[r];
-    const std::size_t avail = ring.readable();
-    if (avail == 0) return 0;
-    Spill& spill = spill_[r];
-    const std::size_t old = spill.bytes.size();
-    spill.bytes.resize(old + avail);
-    const std::size_t got = ring.pop_some(spill.bytes.data() + old, avail);
-    spill.bytes.resize(old + got);
-    return got;
   }
 
   void check_stalled(std::chrono::steady_clock::time_point last_progress,
@@ -389,14 +355,6 @@ class ShmBackend final : public Backend {
   std::byte* map_ = nullptr;
   std::size_t map_bytes_ = 0;
   Control* control_ = nullptr;
-  /// Echoed bytes drained off rx while the rank was still blocked pushing
-  /// a big frame into tx (see stream_write).  Touched only by the owning
-  /// rank's thread.
-  struct Spill {
-    std::vector<std::byte> bytes;
-    std::size_t consumed = 0;
-  };
-
   std::vector<Ring> tx_;  // rank -> ring towards the router
   std::vector<Ring> rx_;  // rank -> ring back from the router
   std::vector<Spill> spill_;

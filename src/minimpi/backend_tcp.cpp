@@ -1,11 +1,9 @@
-// TCP transport backend (loopback first): every frame is written
-// length-prefixed onto the sending rank's socket, crosses the kernel
-// network stack to an in-process relay, and is echoed back on the same
-// connection.  The relay is a single nonblocking progress loop
-// (poll + partial-read/-write reassembly), which is the shape a future
-// multi-machine peer would grow out of: replace "echo to the same
-// connection" with "forward to the destination host" and the framing,
-// progress loop, and runtime seam all stay as they are.
+// TCP transport backend (loopback first): each rank owns one connected
+// TCP socket pair.  Every frame is written length-prefixed into the
+// client end, crosses the kernel network stack, and is read back off the
+// accepted end by the same rank thread.  A multi-machine peer would
+// replace "read back off my own connection's far end" with "the
+// destination host reads it"; framing and the runtime seam stay.
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -14,11 +12,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <cstring>
-#include <deque>
-#include <thread>
+#include <utility>
 
 #include "minimpi/backend.hpp"
 #include "minimpi/error.hpp"
@@ -28,45 +24,100 @@ namespace dipdc::minimpi::detail_backend {
 
 namespace {
 
+/// Bytes moved off the accepted end per park() while a send is blocked.
+constexpr std::size_t kParkChunk = 64 * 1024;
+
 [[noreturn]] void throw_errno(const char* what) {
   throw MpiError(std::string("tcp backend: ") + what + ": " +
                  std::strerror(errno));
 }
 
-void set_nonblocking(int fd) {
+/// Owns one socket descriptor; `what` names the call that returned it.
+class Fd {
+ public:
+  Fd(int fd, const char* what) : fd_(fd) {
+    if (fd_ < 0) throw_errno(what);
+  }
+  Fd(Fd&& other) noexcept : fd_(std::exchange(other.fd_, -1)) {}
+  ~Fd() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+
+  [[nodiscard]] int get() const { return fd_; }
+
+ private:
+  int fd_;
+};
+
+/// Nonblocking with TCP_NODELAY: small frames leave at once, and a full
+/// buffer returns EAGAIN instead of blocking the rank.
+void configure(int fd) {
+  const int one = 1;
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
     throw_errno("fcntl(O_NONBLOCK)");
   }
-}
-
-/// Full blocking write, resilient to partial writes and EINTR.
-/// MSG_NOSIGNAL: a dead relay must surface as an error, not SIGPIPE.
-void write_all(int fd, const std::byte* data, std::size_t n) {
-  while (n > 0) {
-    const ssize_t wrote = ::send(fd, data, n, MSG_NOSIGNAL);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("send");
-    }
-    data += wrote;
-    n -= static_cast<std::size_t>(wrote);
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) < 0) {
+    throw_errno("setsockopt(TCP_NODELAY)");
   }
 }
 
-/// Full blocking read; EOF means the relay went away mid-run.
-void read_all(int fd, std::byte* data, std::size_t n) {
-  while (n > 0) {
-    const ssize_t got = ::read(fd, data, n);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("read");
+sockaddr_in local_address(int fd) {
+  sockaddr_in addr{};
+  socklen_t len = sizeof(addr);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) < 0) {
+    throw_errno("getsockname");
+  }
+  return addr;
+}
+
+/// Accepts connections until the far end of `client` turns up, closing
+/// any other: pairing is by address, never by accept order, so a stray
+/// connection to a fixed tcp_port cannot cross two ranks' channels.
+Fd accept_peer_of(int listener, int client) {
+  const sockaddr_in want = local_address(client);
+  for (;;) {
+    sockaddr_in peer{};
+    socklen_t len = sizeof(peer);
+    Fd fd(::accept(listener, reinterpret_cast<sockaddr*>(&peer), &len),
+          "accept");
+    if (peer.sin_port == want.sin_port &&
+        peer.sin_addr.s_addr == want.sin_addr.s_addr) {
+      return fd;
     }
-    if (got == 0) {
-      throw MpiError("tcp backend: relay closed the connection");
-    }
-    data += got;
-    n -= static_cast<std::size_t>(got);
+  }
+}
+
+/// Reads up to n bytes without blocking; 0 means none are ready.  EOF
+/// means the socket pair was torn down under a live rank.
+std::size_t read_some(int fd, std::byte* dst, std::size_t n) {
+  for (;;) {
+    const ssize_t got = ::read(fd, dst, n);
+    if (got > 0) return static_cast<std::size_t>(got);
+    if (got == 0) throw MpiError("tcp backend: connection closed");
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return 0;
+    throw_errno("read");
+  }
+}
+
+/// Blocks until one of `fds` is ready for the events it asks for.
+void wait_ready(pollfd* fds, nfds_t count) {
+  while (::poll(fds, count, -1) < 0) {
+    if (errno != EINTR) throw_errno("poll");
+  }
+}
+
+/// Drops the first n bytes of msg's iovec array after a partial write.
+void skip_sent(msghdr& msg, std::size_t n) {
+  while (n > 0 && n >= msg.msg_iov->iov_len) {
+    n -= msg.msg_iov->iov_len;
+    ++msg.msg_iov;
+    --msg.msg_iovlen;
+  }
+  if (n > 0) {
+    msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + n;
+    msg.msg_iov->iov_len -= n;
   }
 }
 
@@ -75,19 +126,11 @@ class TcpBackend final : public Backend {
   explicit TcpBackend(const BackendOptions& opt)
       : host_(opt.tcp_host), port_(opt.tcp_port) {}
 
-  ~TcpBackend() override {
-    try {
-      finalize();
-    } catch (...) {
-    }
-  }
-
   [[nodiscard]] const char* name() const override { return "tcp"; }
   [[nodiscard]] bool shares_address_space() const override { return false; }
 
   void connect(int nranks) override {
-    DIPDC_REQUIRE(relay_fds_.empty(), "tcp backend connected twice");
-    const std::size_t n = static_cast<std::size_t>(nranks);
+    DIPDC_REQUIRE(channels_.empty(), "tcp backend connected twice");
 
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -96,146 +139,92 @@ class TcpBackend final : public Backend {
       throw MpiError("tcp backend: bad host address '" + host_ + "'");
     }
 
-    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listener < 0) throw_errno("socket");
+    const Fd listener(::socket(AF_INET, SOCK_STREAM, 0), "socket");
     const int one = 1;
-    ::setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+    ::setsockopt(listener.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    if (::bind(listener.get(), reinterpret_cast<const sockaddr*>(&addr),
                sizeof(addr)) < 0) {
-      ::close(listener);
       throw_errno("bind");
     }
-    if (::listen(listener, nranks + 8) < 0) {
-      ::close(listener);
-      throw_errno("listen");
-    }
+    if (::listen(listener.get(), nranks + 8) < 0) throw_errno("listen");
     // With port 0 the kernel picked an ephemeral port; learn it so the
-    // rank sockets know where to connect.
-    socklen_t addr_len = sizeof(addr);
-    if (::getsockname(listener, reinterpret_cast<sockaddr*>(&addr),
-                      &addr_len) < 0) {
-      ::close(listener);
-      throw_errno("getsockname");
-    }
+    // client ends know where to connect.
+    addr = local_address(listener.get());
 
-    // Connect one client socket per rank (the kernel backlog completes
-    // the handshakes), then accept the relay ends.
-    rank_fds_.reserve(n);
-    relay_fds_.reserve(n);
-    for (std::size_t r = 0; r < n; ++r) {
-      const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      if (fd < 0) throw_errno("socket");
-      if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+    channels_.reserve(static_cast<std::size_t>(nranks));
+    for (int r = 0; r < nranks; ++r) {
+      Fd tx(::socket(AF_INET, SOCK_STREAM, 0), "socket");
+      if (::connect(tx.get(), reinterpret_cast<const sockaddr*>(&addr),
                     sizeof(addr)) < 0) {
-        ::close(fd);
         throw_errno("connect");
       }
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      rank_fds_.push_back(fd);
+      Fd rx = accept_peer_of(listener.get(), tx.get());
+      configure(tx.get());
+      configure(rx.get());
+      channels_.push_back(Channel{std::move(tx), std::move(rx), Spill{}});
     }
-    for (std::size_t r = 0; r < n; ++r) {
-      const int fd = ::accept(listener, nullptr, nullptr);
-      if (fd < 0) throw_errno("accept");
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      set_nonblocking(fd);
-      relay_fds_.push_back(fd);
-    }
-    ::close(listener);
-
-    pending_ = std::vector<Outbox>(n);
-    stop_.store(false, std::memory_order_release);
-    relay_ = std::thread([this] {
-      while (!stop_.load(std::memory_order_acquire)) progress();
-    });
   }
 
+  /// Writes the length prefix and the frame with one sendmsg.  When the
+  /// client end would block, parks the echo waiting on the accepted end,
+  /// then waits for either end to become ready.
   void send(int rank, std::span<const std::byte> frame) override {
-    const int fd = rank_fds_[static_cast<std::size_t>(rank)];
-    const std::uint64_t len = frame.size();
-    write_all(fd, reinterpret_cast<const std::byte*>(&len), sizeof(len));
-    write_all(fd, frame.data(), frame.size());
+    Channel& ch = channels_[static_cast<std::size_t>(rank)];
+    std::uint64_t len = frame.size();
+    iovec iov[2] = {{&len, sizeof(len)},
+                    {const_cast<std::byte*>(frame.data()), frame.size()}};
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = 2;
+    std::size_t left = sizeof(len) + frame.size();
+    while (left > 0) {
+      // MSG_NOSIGNAL: a torn-down pair must surface as an error, not
+      // SIGPIPE.
+      const ssize_t wrote = ::sendmsg(ch.tx.get(), &msg, MSG_NOSIGNAL);
+      if (wrote >= 0) {
+        left -= static_cast<std::size_t>(wrote);
+        skip_sent(msg, static_cast<std::size_t>(wrote));
+        continue;
+      }
+      if (errno == EINTR) continue;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) throw_errno("sendmsg");
+      const int rx = ch.rx.get();
+      const auto pull = [rx](std::byte* dst, std::size_t n) {
+        return read_some(rx, dst, n);
+      };
+      while (ch.spill.park(kParkChunk, pull) > 0) continue;
+      pollfd fds[2] = {{ch.tx.get(), POLLOUT, 0}, {rx, POLLIN, 0}};
+      wait_ready(fds, 2);
+    }
   }
 
   void recv(int rank, std::vector<std::byte>& frame) override {
-    const int fd = rank_fds_[static_cast<std::size_t>(rank)];
-    std::uint64_t len = 0;
-    read_all(fd, reinterpret_cast<std::byte*>(&len), sizeof(len));
-    frame.resize(static_cast<std::size_t>(len));
-    read_all(fd, frame.data(), frame.size());
+    Channel& ch = channels_[static_cast<std::size_t>(rank)];
+    const int rx = ch.rx.get();
+    ch.spill.recv_frame(frame, [rx](std::byte* dst, std::size_t n) {
+      for (;;) {
+        const std::size_t got = read_some(rx, dst, n);
+        if (got > 0) return got;
+        pollfd fd{rx, POLLIN, 0};
+        wait_ready(&fd, 1);
+      }
+    });
   }
 
-  /// One iteration of the relay's nonblocking progress loop: poll every
-  /// connection, ingest whatever arrived, and push queued echo bytes back
-  /// out as far as the socket buffers allow.  The relay thread drives
-  /// this; frames are never parsed here — the byte stream is echoed
-  /// verbatim and the length-prefixed framing is reconstructed by the
-  /// receiving rank.
-  void progress() override {
-    std::vector<pollfd> fds(relay_fds_.size());
-    for (std::size_t i = 0; i < relay_fds_.size(); ++i) {
-      fds[i].fd = relay_fds_[i];
-      fds[i].events = POLLIN;
-      if (!pending_[i].chunks.empty()) fds[i].events |= POLLOUT;
-    }
-    const int ready =
-        ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 50);
-    if (ready <= 0) return;  // timeout/EINTR: loop re-checks stop_
-    std::byte buf[16384];
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-      if ((fds[i].revents & (POLLIN | POLLERR | POLLHUP)) != 0) {
-        for (;;) {
-          const ssize_t got = ::read(fds[i].fd, buf, sizeof(buf));
-          if (got > 0) {
-            pending_[i].chunks.emplace_back(buf, buf + got);
-            continue;
-          }
-          // EOF or EAGAIN: a closed rank socket just goes quiet here;
-          // finalize() tears the relay down.
-          break;
-        }
-      }
-      Outbox& out = pending_[i];
-      while (!out.chunks.empty()) {
-        std::vector<std::byte>& chunk = out.chunks.front();
-        const std::size_t left = chunk.size() - out.offset;
-        const ssize_t wrote = ::send(fds[i].fd, chunk.data() + out.offset,
-                                     left, MSG_NOSIGNAL);
-        if (wrote < 0) break;  // EAGAIN: retry next iteration
-        out.offset += static_cast<std::size_t>(wrote);
-        if (out.offset == chunk.size()) {
-          out.chunks.pop_front();
-          out.offset = 0;
-        } else {
-          break;  // socket buffer full mid-chunk
-        }
-      }
-    }
-  }
-
-  void finalize() override {
-    if (relay_.joinable()) {
-      stop_.store(true, std::memory_order_release);
-      relay_.join();
-    }
-    for (const int fd : rank_fds_) ::close(fd);
-    rank_fds_.clear();
-    for (const int fd : relay_fds_) ::close(fd);
-    relay_fds_.clear();
-  }
+  void finalize() override { channels_.clear(); }
 
  private:
-  struct Outbox {
-    std::deque<std::vector<std::byte>> chunks;
-    std::size_t offset = 0;  // bytes of chunks.front() already written
+  /// One rank's socket pair: it writes into `tx` and reads the same bytes
+  /// back off `rx`, the accepted far end of the same connection.
+  struct Channel {
+    Fd tx;
+    Fd rx;
+    Spill spill;
   };
 
   std::string host_;
   std::uint16_t port_;
-  std::vector<int> rank_fds_;   // blocking; owned by the rank threads
-  std::vector<int> relay_fds_;  // nonblocking; owned by the relay thread
-  std::vector<Outbox> pending_;
-  std::atomic<bool> stop_{false};
-  std::thread relay_;
+  std::vector<Channel> channels_;  // channel r is touched only by rank r
 };
 
 }  // namespace

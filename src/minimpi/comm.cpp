@@ -238,7 +238,7 @@ void Comm::send_bytes(std::span<const std::byte> data, int dest, int tag,
     dup->byte_time = env->byte_time;
   }
   // Cross the transport seam (identity on the threads backend; a serialize/
-  // round-trip/deserialize through the router or relay on shm/tcp).
+  // round-trip/deserialize through the router or socket pair on shm/tcp).
   env = runtime_->transport_envelope(std::move(env));
   if (dup) dup = runtime_->transport_envelope(std::move(dup));
 

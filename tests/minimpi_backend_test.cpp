@@ -13,9 +13,11 @@
 //     must behave identically whether ranks exchange pointers or frames.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "minimpi/backend.hpp"
@@ -223,10 +225,14 @@ TEST_P(BackendChannel, EchoesFramesInFifoOrder) {
   EXPECT_STREQ(backend->name(), mpi::to_string(GetParam()));
   backend->connect(/*nranks=*/2);
 
+  // The last `a` outgrows the loopback socket buffers: its echo must be
+  // parked while the tail is still being sent, ahead of `b`.
+  const std::size_t a_sizes[] = {1024, 1024 + 7777, 1024 + 2 * 7777,
+                                 std::size_t{16} << 20};
   std::vector<std::byte> frame;
-  for (int round = 0; round < 3; ++round) {
+  for (int round = 0; round < 4; ++round) {
     for (int rank = 0; rank < 2; ++rank) {
-      std::vector<std::byte> a(1024 + static_cast<std::size_t>(round) * 7777);
+      std::vector<std::byte> a(a_sizes[round]);
       std::vector<std::byte> b(33);
       for (std::size_t i = 0; i < a.size(); ++i) {
         a[i] = static_cast<std::byte>(i + static_cast<std::size_t>(rank));
@@ -244,6 +250,44 @@ TEST_P(BackendChannel, EchoesFramesInFifoOrder) {
   }
   backend->finalize();
   backend->finalize();  // idempotent
+}
+
+TEST_P(BackendChannel, ConcurrentRanksEchoOnlyTheirOwnFrames) {
+  if (skip_under_tsan(GetParam())) {
+    GTEST_SKIP() << "shm backend forks; not supported under TSan";
+  }
+  constexpr int kRanks = 8;
+  mpi::BackendOptions opt;
+  opt.kind = GetParam();
+  auto backend = mb::make_backend(opt);
+  backend->connect(kRanks);
+
+  // Every rank round-trips rank-tagged frames of mixed sizes at once; a
+  // crossed pairing or shared channel state shows up as a foreign echo.
+  const std::size_t sizes[] = {8, 333, 4096, 70000, 1 << 20};
+  std::vector<int> mismatches(kRanks, 0);
+  std::vector<std::thread> threads;
+  for (int rank = 0; rank < kRanks; ++rank) {
+    threads.emplace_back([&, rank] {
+      const auto r = static_cast<std::size_t>(rank);
+      std::vector<std::byte> sent;
+      std::vector<std::byte> echoed;
+      for (std::size_t round = 0; round < 20; ++round) {
+        sent.assign(sizes[(round + r) % std::size(sizes)],
+                    static_cast<std::byte>(rank));
+        sent[sent.size() / 2] = static_cast<std::byte>(round);
+        backend->send(rank, sent);
+        backend->recv(rank, echoed);
+        if (echoed != sent) ++mismatches[r];
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  backend->finalize();
+  for (int rank = 0; rank < kRanks; ++rank) {
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(rank)], 0)
+        << "rank " << rank;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendChannel,
@@ -436,6 +480,20 @@ TEST_P(BackendFailures, LargeFramesStreamThroughTinyShmRing) {
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendFailures,
                          ::testing::ValuesIn(all_backends()),
                          backend_param_name);
+
+TEST(BackendTeardown, TcpWorldsTearDownWithoutWaiting) {
+  // Tearing a tcp world down only closes its sockets.  Ten short worlds
+  // take milliseconds each, even under the sanitizers; a backend whose
+  // finalize waits out a poll timeout blows the bound.
+  const auto start = std::chrono::steady_clock::now();
+  for (int world = 0; world < 10; ++world) {
+    mpi::run(2, [](mpi::Comm& comm) { comm.barrier(); },
+             with_backend(mpi::BackendKind::kTcp));
+  }
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(took.count(), 0.35);
+}
 
 // ---------------------------------------------------------------------------
 // Zero-copy guard: borrowed/shared payloads must degrade to copies at the
