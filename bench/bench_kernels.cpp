@@ -148,7 +148,10 @@ void BM_RngUniform(benchmark::State& state) {
 }
 BENCHMARK(BM_RngUniform);
 
-void BM_LocalSort(benchmark::State& state) {
+// Module 3's local sort (kernels::sort_keys, radix) against std::sort on
+// the same keys: the in-run baseline for the kernel's speedup.
+template <typename Sort>
+void bm_local_sort(benchmark::State& state, Sort sort) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto d = io::generate_uniform(n, 1, 0.0, 1.0, 5);
   std::vector<double> work(d.values().begin(), d.values().end());
@@ -156,13 +159,24 @@ void BM_LocalSort(benchmark::State& state) {
     state.PauseTiming();
     std::copy(d.values().begin(), d.values().end(), work.begin());
     state.ResumeTiming();
-    std::sort(work.begin(), work.end());
+    sort(work);
     benchmark::DoNotOptimize(work.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_LocalSort)->Arg(100000);
+
+void BM_LocalSort(benchmark::State& state) {
+  bm_local_sort(state, [](std::vector<double>& v) { ker::sort_keys(v); });
+}
+BENCHMARK(BM_LocalSort)->Arg(100000)->Arg(1000000);
+
+void BM_LocalSortStd(benchmark::State& state) {
+  bm_local_sort(state,
+                [](std::vector<double>& v) { std::sort(v.begin(), v.end()); });
+}
+BENCHMARK(BM_LocalSortStd)->Arg(100000)->Arg(1000000);
 
 // ---------------------------------------------------------------------------
 // BM_Kernel* — the dispatched src/kernels entry points, one registration per

@@ -1,13 +1,16 @@
-// Dispatched kernels for module 3's splitter machinery: the rank-0
+// Module 3's kernels.  The splitter machinery is dispatched: the rank-0
 // histogram pass and the per-element bucket classification (splitter
 // scan).  Both produce integers, so bit-identity here means "the same
 // bins and buckets" — guaranteed because the offset arithmetic and the
 // comparisons are the identical IEEE operations in both paths (see
-// detail/canonical.hpp for the scalar reference).
+// detail/canonical.hpp for the scalar reference).  The local sort has a
+// single path and no ISA argument: a radix sort orders bit patterns, so
+// its output is one byte sequence on every host.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "kernels/dispatch.hpp"
 
@@ -25,6 +28,15 @@ void histogram(Isa isa, const double* values, std::size_t n, double lo,
 void bucket_indices(Isa isa, const double* values, std::size_t n,
                     const double* splitters, std::size_t nsplit,
                     std::uint32_t* out);
+
+/// Sorts `keys` ascending in IEEE-754 totalOrder: -NaN < -inf < ... <
+/// -0.0 < +0.0 < ... < +inf < +NaN.  On keys without NaNs or signed
+/// zeros that is exactly operator<'s order, so the result equals
+/// std::sort's byte for byte; with them, the output is still one
+/// deterministic byte sequence for a given multiset, whatever order the
+/// keys arrived in.  An MSD/LSD radix sort: in place above 65536 keys,
+/// through at most 65536 doubles (512 KiB) of scratch below.
+void sort_keys(std::span<double> keys);
 
 namespace detail {
 void histogram_avx2(const double* values, std::size_t n, double lo,

@@ -88,9 +88,9 @@ Result streamed_bucket_sort(mpi::Comm& comm, const std::string& chunk_path,
       });
   const double t_streamed = comm.wtime();
 
-  // Local sort — same cost model as the in-core phase.
+  // Local sort — same kernel and cost model as the in-core phase.
   comm.phase_begin("local_sort");
-  std::sort(bucket.begin(), bucket.end());
+  kernels::sort_keys(bucket);
   const double nlogn =
       static_cast<double>(bucket.size()) * log2_safe(bucket.size());
   comm.sim_compute(2.0 * nlogn, 8.0 * nlogn);

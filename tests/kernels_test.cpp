@@ -9,9 +9,14 @@
 // vs. reference checks always run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "kernels/detail/canonical.hpp"
@@ -332,6 +337,111 @@ TEST(KernelsSort, ScalarSimdBitEqualOverRandomShapes) {
     ker::bucket_indices(ker::Isa::kSimd, values.data(), n, splitters.data(),
                         nsplit, b_simd.data());
     ASSERT_EQ(b_scalar, b_simd) << "trial " << trial;
+  }
+}
+
+namespace {
+
+// Inputs for sort_keys on which operator< is a total order (no NaN, no
+// mixed signed zeros), so std::sort's output is one byte sequence.
+std::vector<std::pair<std::string, std::vector<double>>> sort_inputs(
+    std::size_t n) {
+  Xoshiro256 rng(0x5eed + n);
+  std::vector<std::pair<std::string, std::vector<double>>> cases;
+  auto add = [&](std::string name, auto gen) {
+    std::vector<double> v(n);
+    for (std::size_t i = 0; i < n; ++i) v[i] = gen(i);
+    cases.emplace_back(std::move(name), std::move(v));
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  add("uniform", [&](std::size_t) { return rng.uniform(); });
+  add("exponential",
+      [&](std::size_t) { return -std::log(1.0 - rng.uniform()) * 0.5; });
+  add("negatives", [&](std::size_t) { return rng.uniform(-1e6, 1e3); });
+  add("denormals", [&](std::size_t) {
+    const auto m = static_cast<double>(1 + rng.uniform_index(1u << 20));
+    return (rng.uniform_index(2) == 0 ? -denorm : denorm) * m;
+  });
+  add("infinities", [&](std::size_t i) {
+    if (i % 5 == 0) return i % 10 == 0 ? inf : -inf;
+    return rng.uniform(-2.0, 2.0);
+  });
+  add("duplicates", [&](std::size_t) {
+    return static_cast<double>(rng.uniform_index(7)) - 3.0;
+  });
+  add("all-equal", [](std::size_t) { return 0.25; });
+  // Every key but the last shares the top digit (and the next few), so
+  // the first radix pass leaves one bucket of n - 1 keys to recurse into.
+  add("skewed", [&](std::size_t i) {
+    if (i + 1 == n) return 2.0;
+    return 1.0 + static_cast<double>(rng.uniform_index(1u << 20)) * 0x1p-30;
+  });
+  return cases;
+}
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// IEEE-754 totalOrder over keys with one NaN payload per sign: -NaN, then
+// the numbers with -0.0 before +0.0, then +NaN.
+bool total_less(double a, double b) {
+  const auto nan_side = [](double x) {
+    return std::isnan(x) ? (std::signbit(x) ? -1 : 1) : 0;
+  };
+  if (nan_side(a) != nan_side(b)) return nan_side(a) < nan_side(b);
+  if (nan_side(a) != 0) return false;
+  if (a == b) return std::signbit(a) && !std::signbit(b);
+  return a < b;
+}
+
+}  // namespace
+
+TEST(KernelsSort, SortKeysMatchesStdSortBitwise) {
+  for (const std::size_t n : {0u, 1u, 2u, 31u, 32u, 33u, 65535u, 65536u,
+                              65537u, 300000u}) {
+    for (const auto& [name, input] : sort_inputs(n)) {
+      std::vector<double> expect = input;
+      std::sort(expect.begin(), expect.end());
+      std::vector<double> got = input;
+      ker::sort_keys(got);
+      ASSERT_EQ(got.size(), n);
+      EXPECT_TRUE(n == 0 || std::memcmp(got.data(), expect.data(),
+                                        n * sizeof(double)) == 0)
+          << name << " n=" << n;
+    }
+  }
+}
+
+TEST(KernelsSort, SortKeysUsesTotalOrder) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double neg_nan = std::copysign(nan, -1.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> expect = {neg_nan, -inf, -1.0, -0.0, -0.0,
+                                      0.0,     0.0,  1.0,  inf,  nan};
+  std::vector<double> got = {nan, 1.0, -0.0, 0.0, neg_nan,
+                             -inf, inf, -1.0, 0.0, -0.0};
+  ker::sort_keys(got);
+  ASSERT_EQ(got.size(), expect.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(bits_of(got[i]), bits_of(expect[i])) << "position " << i;
+  }
+
+  // The same classes spread through inputs large enough for the LSD and
+  // MSD paths.
+  for (const std::size_t n : {1000u, 100000u}) {
+    Xoshiro256 rng(n);
+    const double specials[] = {nan, neg_nan, -0.0, 0.0};
+    std::vector<double> input(n);
+    for (auto& x : input) {
+      x = rng.uniform_index(4) == 0 ? specials[rng.uniform_index(4)]
+                                    : rng.uniform(-1.0, 1.0);
+    }
+    std::vector<double> want = input;
+    std::sort(want.begin(), want.end(), total_less);
+    std::vector<double> sorted = input;
+    ker::sort_keys(sorted);
+    EXPECT_EQ(std::memcmp(sorted.data(), want.data(), n * sizeof(double)), 0)
+        << "n=" << n;
   }
 }
 

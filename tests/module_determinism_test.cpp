@@ -11,8 +11,10 @@
 // container_faults_test.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <span>
 #include <string>
@@ -34,6 +36,7 @@ namespace m2 = dipdc::modules::distmatrix;
 namespace m3 = dipdc::modules::distsort;
 namespace m5 = dipdc::modules::kmeans;
 namespace ker = dipdc::kernels;
+using dipdc::testing::all_backends;
 using dipdc::testing::forced;
 using dipdc::testing::other_backends;
 using dipdc::testing::run_forced;
@@ -397,7 +400,18 @@ TEST(Streaming, Module2OverlapDoesNotChangeSimResults) {
 }
 
 TEST(Streaming, Module3StreamedBucketsMatchInCore) {
-  const auto keys = io::generate_uniform(4003, 1, 0.0, 1.0, 7);
+  // Signed zeros and repeated keys on top of uniform ones: a comparison
+  // sort may leave -0.0 and +0.0 in either order depending on where they
+  // arrived from, and operator== (so vector ==) would not notice, hence
+  // the byte comparison below.
+  auto keys = io::generate_uniform(4003, 1, 0.0, 1.0, 7);
+  std::span<double> values = keys.values();
+  for (std::size_t i = 0; i < values.size(); i += 7) {
+    values[i] = (i / 7) % 2 == 0 ? -0.0 : 0.0;
+  }
+  for (std::size_t i = 3; i < values.size(); i += 11) {
+    values[i] = (i / 11) % 2 == 0 ? 0.375 : 0.5;  // 0.5 is a splitter
+  }
   TempPath chunks("dipdc_m3_stream_incore.bin");
   io::dataset_to_chunks(keys, chunks.path, /*chunk_rows=*/512);  // 8 chunks
 
@@ -405,10 +419,13 @@ TEST(Streaming, Module3StreamedBucketsMatchInCore) {
   struct Capture {
     std::vector<double> gathered;  // rank-0 gatherv of all sorted buckets
     bool sorted = false;
-    bool operator==(const Capture&) const = default;
   };
-  // In-core reference: the same keys, block-scattered across ranks as
-  // their "already distributed" local shards.
+  auto same_bytes = [](const Capture& a, const Capture& b) {
+    return a.gathered.size() == b.gathered.size() &&
+           (a.gathered.empty() ||
+            std::memcmp(a.gathered.data(), b.gathered.data(),
+                        a.gathered.size() * sizeof(double)) == 0);
+  };
   auto gather_sorted = [](mpi::Comm& comm, std::vector<double>& mine,
                           bool ok) {
     Capture out;
@@ -431,26 +448,41 @@ TEST(Streaming, Module3StreamedBucketsMatchInCore) {
                  std::span<double>(out.gathered), 0);
     return out;
   };
-  const Capture incore = run_forced(4, {}, [&](mpi::Comm& comm) {
-    const auto parts = io::block_partition(
-        keys.size(), static_cast<std::size_t>(comm.size()));
-    const auto [b, e] = parts[static_cast<std::size_t>(comm.rank())];
-    std::vector<double> local(keys.values().begin() + static_cast<std::ptrdiff_t>(b * 1),
-                              keys.values().begin() + static_cast<std::ptrdiff_t>(e * 1));
+  // In-core: the same keys, block-scattered across ranks as their
+  // "already distributed" local shards, in reverse rank order so each
+  // bucket receives its keys in a different order than the stream's.
+  auto incore = [&](mpi::Comm& comm) {
+    const auto np = static_cast<std::size_t>(comm.size());
+    const auto parts = io::block_partition(keys.size(), np);
+    const auto [b, e] = parts[np - 1 - static_cast<std::size_t>(comm.rank())];
+    std::vector<double> local(
+        keys.values().begin() + static_cast<std::ptrdiff_t>(b),
+        keys.values().begin() + static_cast<std::ptrdiff_t>(e));
     const m3::Result res = m3::distributed_bucket_sort(comm, local, cfg);
     return gather_sorted(comm, local, res.globally_sorted);
-  });
-  ASSERT_TRUE(incore.sorted);
+  };
+  const Capture reference = run_forced(4, {}, incore);
+  ASSERT_TRUE(reference.sorted);
+  ASSERT_EQ(reference.gathered.size(), keys.size());
+  // totalOrder puts every -0.0 before every +0.0 in rank 0's bucket.
+  EXPECT_TRUE(std::signbit(reference.gathered.front()));
 
-  for (const bool overlap : {true, false}) {
-    const Capture streamed = run_forced(4, {}, [&](mpi::Comm& comm) {
-      std::vector<double> mine;
-      const m3::Result res =
-          m3::streamed_bucket_sort(comm, chunks.path, cfg, mine, {overlap});
-      return gather_sorted(comm, mine, res.globally_sorted);
-    });
-    EXPECT_TRUE(streamed.sorted) << "overlap=" << overlap;
-    EXPECT_TRUE(streamed == incore) << "overlap=" << overlap;
+  for (const auto kind : all_backends()) {
+    const std::string backend(mpi::to_string(kind));
+    const Capture in = run_forced(4, forced(kind), incore);
+    EXPECT_TRUE(in.sorted) << backend;
+    EXPECT_TRUE(same_bytes(in, reference)) << backend << "/in-core";
+    for (const bool overlap : {true, false}) {
+      const Capture streamed = run_forced(4, forced(kind), [&](mpi::Comm& comm) {
+        std::vector<double> mine;
+        const m3::Result res =
+            m3::streamed_bucket_sort(comm, chunks.path, cfg, mine, {overlap});
+        return gather_sorted(comm, mine, res.globally_sorted);
+      });
+      EXPECT_TRUE(streamed.sorted) << backend << " overlap=" << overlap;
+      EXPECT_TRUE(same_bytes(streamed, reference))
+          << backend << " overlap=" << overlap;
+    }
   }
 }
 
