@@ -26,11 +26,6 @@ namespace dipdc::minimpi {
 
 namespace {
 
-/// Payloads up to this size are copied while holding the runtime lock (one
-/// lock round-trip beats two for small memcpys); larger receive-side copies
-/// release the lock around the memcpy.
-constexpr std::size_t kLockedCopyMax = 4096;
-
 /// Builds the payload for an outgoing message.  Called outside the runtime
 /// lock; the stats stream is the sender's own (only its thread writes it).
 detail::Payload build_payload(std::span<const std::byte> data, bool borrow_ok,
@@ -250,23 +245,11 @@ void Comm::send_bytes(std::span<const std::byte> data, int dest, int tag,
     ++st.stats.p2p_messages_sent;
   }
   record_channel_sent(st, channels, wdest, data.size());
-  auto finish_delivery = [&](const std::shared_ptr<detail::Envelope>& e) {
-    auto pending = runtime_->deliver_locked(e);
-    if (pending) {
-      lock.unlock();
-      e->payload.copy_to(pending->buffer);
-      lock.lock();
-      pending->copy_in_flight = false;
-      pending->done = true;
-      e->matched = true;
-      runtime_->condvar().notify_all();
-    }
-  };
-  finish_delivery(env);
+  runtime_->deliver(lock, env);
   if (dup) {
     st.stats.transport_bytes_sent += data.size();
     ++st.stats.transport_messages_sent;
-    finish_delivery(dup);
+    runtime_->deliver(lock, dup);
   }
   if (rendezvous) {
     if (!env->matched) ++st.stats.rendezvous_stalls;
@@ -279,7 +262,7 @@ void Comm::send_bytes(std::span<const std::byte> data, int dest, int tag,
       // queued, or wait out a receiver's in-flight copy.
       detail::Mailbox& mb = runtime_->mailbox(wdest);
       if (!mb.unexpected.remove(env.get())) {
-        while (!env->matched) runtime_->condvar().wait(lock);
+        while (!env->matched) runtime_->condvar(world_rank_).wait(lock);
       }
       throw;
     }
@@ -330,18 +313,7 @@ Status Comm::recv_bytes(std::span<std::byte> data, int source, int tag,
     }
     st.stats.copied_bytes += status.bytes;
     mb.unexpected.erase(*m);
-    if (status.bytes <= kLockedCopyMax) {
-      env->payload.copy_to(data.data());
-      env->matched = true;
-    } else {
-      env->consume_in_flight = true;
-      lock.unlock();
-      env->payload.copy_to(data.data());
-      lock.lock();
-      env->consume_in_flight = false;
-      env->matched = true;
-    }
-    runtime_->condvar().notify_all();  // a rendezvous sender may be waiting
+    runtime_->consume(lock, *env, data.data());
     return status;
   }
 
@@ -361,13 +333,7 @@ Status Comm::recv_bytes(std::span<std::byte> data, int source, int tag,
     runtime_->blocking_wait(lock, world_rank_, "Recv",
                             [&req] { return req->done; });
   } catch (...) {
-    // Keep `data` safe across the unwind: finish an in-flight sender copy,
-    // or withdraw the posted receive so no later sender writes into it.
-    if (req->copy_in_flight) {
-      while (!req->done) runtime_->condvar().wait(lock);
-    } else if (!req->done) {
-      std::erase(mb.posted, req);
-    }
+    runtime_->retract(lock, world_rank_, req);  // keep `data` safe
     throw;
   }
   if (!req->error.empty()) throw MpiError(req->error);
@@ -486,23 +452,11 @@ Request Comm::isend_bytes(std::span<const std::byte> data, int dest, int tag,
     ++st.stats.p2p_messages_sent;
   }
   record_channel_sent(st, channels, wdest, data.size());
-  auto finish_delivery = [&](const std::shared_ptr<detail::Envelope>& e) {
-    auto pending = runtime_->deliver_locked(e);
-    if (pending) {
-      lock.unlock();
-      e->payload.copy_to(pending->buffer);
-      lock.lock();
-      pending->copy_in_flight = false;
-      pending->done = true;
-      e->matched = true;
-      runtime_->condvar().notify_all();
-    }
-  };
-  finish_delivery(env);
+  runtime_->deliver(lock, env);
   if (dup) {
     st.stats.transport_bytes_sent += data.size();
     ++st.stats.transport_messages_sent;
-    finish_delivery(dup);
+    runtime_->deliver(lock, dup);
   }
   // The non-blocking send itself only pays injection overhead; a rendezvous
   // Isend defers the synchronization to wait().
@@ -563,9 +517,8 @@ std::shared_ptr<detail::RequestState> Comm::post_recv(
          << " bytes but rank " << env->source << " sent "
          << env->payload.size() << " bytes (tag " << env->tag << ")";
       req->error = os.str();
-      env->matched = true;
+      runtime_->consume(lock, *env, nullptr);
       req->done = true;
-      runtime_->condvar().notify_all();
       return req;
     }
     // The receive completed at post, so the posting operation's own trace
@@ -588,18 +541,9 @@ std::shared_ptr<detail::RequestState> Comm::post_recv(
         req->staged =
             detail::StagedBuffer{std::move(buf), 0, env->payload.size()};
       }
-    } else if (env->payload.size() <= kLockedCopyMax) {
-      env->payload.copy_to(req->buffer);
-    } else {
-      env->consume_in_flight = true;
-      lock.unlock();
-      env->payload.copy_to(req->buffer);
-      lock.lock();
-      env->consume_in_flight = false;
     }
-    env->matched = true;
+    runtime_->consume(lock, *env, staged ? nullptr : req->buffer);
     req->done = true;
-    runtime_->condvar().notify_all();
     return req;
   }
   mb.posted.push_back(req);
@@ -675,16 +619,7 @@ void Comm::send_staged(const detail::StagedBuffer& data, int dest, int tag) {
   std::unique_lock<std::mutex> lock(runtime_->mutex());
   st.stats.transport_bytes_sent += data.len;
   ++st.stats.transport_messages_sent;
-  auto pending = runtime_->deliver_locked(env);
-  if (pending) {
-    lock.unlock();
-    env->payload.copy_to(pending->buffer);
-    lock.lock();
-    pending->copy_in_flight = false;
-    pending->done = true;
-    env->matched = true;
-    runtime_->condvar().notify_all();
-  }
+  runtime_->deliver(lock, env);
   st.clock += overhead;
   st.stats.sim_comm_seconds += overhead;
 }
@@ -763,11 +698,7 @@ detail::CollectiveState::~CollectiveState() {
     // Never leave a sender writing into (or able to match) a receive whose
     // buffer may be about to go away with the abandoned routine.
     std::unique_lock<std::mutex> lock(runtime->mutex());
-    if (pending->copy_in_flight) {
-      while (!pending->done) runtime->condvar().wait(lock);
-    } else if (!pending->done) {
-      std::erase(runtime->mailbox(world_rank).posted, pending);
-    }
+    runtime->retract(lock, world_rank, pending);
   }
   top.destroy();
 }
@@ -824,13 +755,7 @@ Status Comm::wait_nocount(Request& request) {
     runtime_->blocking_wait(lock, world_rank_, "Wait (Irecv)",
                             [&rs] { return rs->done; });
   } catch (...) {
-    // See recv_bytes: never leave a sender copying into a buffer whose
-    // owner is unwinding, and never leave a dangling posted receive.
-    if (rs->copy_in_flight) {
-      while (!rs->done) runtime_->condvar().wait(lock);
-    } else if (!rs->done) {
-      std::erase(runtime_->mailbox(world_rank_).posted, rs);
-    }
+    runtime_->retract(lock, world_rank_, rs);
     throw;
   }
   if (!rs->error.empty()) throw MpiError(rs->error);
@@ -1062,9 +987,7 @@ bool Comm::recv_ack_timeout(std::span<std::byte> data, int source, int tag,
     st.clock = completion;
     st.stats.copied_bytes += stt.bytes;
     mb.unexpected.erase(*m);
-    env->payload.copy_to(data.data());
-    env->matched = true;
-    runtime_->condvar().notify_all();
+    runtime_->consume(lock, *env, data.data());
     if (status != nullptr) *status = stt;
     return true;
   }
@@ -1088,25 +1011,15 @@ bool Comm::recv_ack_timeout(std::span<std::byte> data, int source, int tag,
         lock, world_rank_, "Recv (reliable ack)",
         [&req] { return req->done; }, /*can_timeout=*/true);
   } catch (...) {
-    // See recv_bytes: keep `data` safe across the unwind.
-    if (req->copy_in_flight) {
-      while (!req->done) runtime_->condvar().wait(lock);
-    } else if (!req->done) {
-      std::erase(mb.posted, req);
-    }
+    runtime_->retract(lock, world_rank_, req);  // keep `data` safe
     throw;
   }
-  bool received = outcome == detail_runtime::Runtime::WaitOutcome::kReady;
-  if (!received) {
-    // The timeout may have raced an arriving ack; a sender mid-copy into
-    // our buffer means the ack did arrive.
-    if (req->copy_in_flight) {
-      while (!req->done) runtime_->condvar().wait(lock);
-    }
-    received = req->done;
+  if (outcome == detail_runtime::Runtime::WaitOutcome::kTimedOut) {
+    // The timeout may have raced an arriving ack: finish its copy, or
+    // withdraw the receive when the ack is provably lost.
+    runtime_->retract(lock, world_rank_, req);
   }
-  if (!received) {
-    std::erase(mb.posted, req);
+  if (!req->done) {
     st.clock += ro.timeout_seconds;
     st.stats.sim_comm_seconds += ro.timeout_seconds;
     ++st.stats.reliable_timeouts;

@@ -150,11 +150,6 @@ struct Envelope {
   bool rendezvous = false;  // sender blocks until matched
   bool matched = false;     // receiver has consumed the payload
   bool internal = false;    // collective-internal traffic
-  /// A receiver popped this envelope and is copying the payload out
-  /// without holding the runtime lock; `matched` follows shortly.  An
-  /// unwinding sender must wait for the flag to clear before it may free a
-  /// borrowed payload.
-  bool consume_in_flight = false;
   /// Mailbox arrival order, stamped by UnexpectedQueue::push (wildcard-tag
   /// receives must match the earliest arrival across all tag buckets).
   std::uint64_t seq = 0;
@@ -176,7 +171,7 @@ struct Envelope {
 
   void reset() {
     payload.reset();
-    rendezvous = matched = internal = consume_in_flight = false;
+    rendezvous = matched = internal = false;
     src_world = 0;
     seq = 0;
     trace_seq = 0;
@@ -499,6 +494,11 @@ struct UnexpectedQueue {
     return false;
   }
 };
+
+/// Payloads up to this size are copied while holding the runtime lock (one
+/// lock round-trip beats two for small memcpys); larger ones are copied
+/// with the lock released.
+inline constexpr std::size_t kLockedCopyMax = 4096;
 
 /// Per-rank mailbox: messages not yet matched by a receive, and receives
 /// not yet matched by a message.

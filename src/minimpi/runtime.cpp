@@ -44,7 +44,8 @@ perfmodel::CostModel make_cost_model(const RuntimeOptions& options,
 }  // namespace
 
 Runtime::Runtime(int nranks, RuntimeOptions options)
-    : options_(std::move(options)),
+    : cvs_(static_cast<std::size_t>(nranks)),
+      options_(std::move(options)),
       cost_(make_cost_model(options_, nranks)),
       nranks_(nranks),
       alive_(nranks),
@@ -104,12 +105,8 @@ std::shared_ptr<detail::Envelope> Runtime::transport_envelope(
   return delivered;
 }
 
-std::shared_ptr<detail::RequestState> Runtime::deliver_locked(
-    const std::shared_ptr<detail::Envelope>& env) {
-  // Payloads up to this size are copied while holding the lock (one lock
-  // round-trip); larger ones are copied by the caller outside the lock.
-  constexpr std::size_t kLockedCopyMax = 4096;
-
+void Runtime::deliver(std::unique_lock<std::mutex>& lock,
+                      const std::shared_ptr<detail::Envelope>& env) {
   detail::Mailbox& mb = mailbox(env->dest);
   for (auto it = mb.posted.begin(); it != mb.posted.end(); ++it) {
     const std::shared_ptr<detail::RequestState> req = *it;
@@ -149,42 +146,58 @@ std::shared_ptr<detail::RequestState> Runtime::deliver_locked(
         req->staged =
             detail::StagedBuffer{std::move(buf), 0, env->payload.size()};
       }
-      env->matched = true;
-      req->done = true;
-      cv_.notify_all();
-      return nullptr;
-    }
-
-    if (env->payload.size() > req->capacity) {
+    } else if (env->payload.size() > req->capacity) {
       std::ostringstream os;
       os << "message truncation: rank " << env->dest << " posted a "
          << req->capacity << "-byte receive but rank " << env->source
          << " sent " << env->payload.size() << " bytes (tag " << env->tag
          << ")";
       req->error = os.str();
-      env->matched = true;
-      req->done = true;
-      cv_.notify_all();
-      return nullptr;
-    }
-
-    if (env->payload.size() <= kLockedCopyMax) {
+    } else if (env->payload.size() <= detail::kLockedCopyMax) {
       env->payload.copy_to(req->buffer);
-      env->matched = true;
-      req->done = true;
-      cv_.notify_all();
-      return nullptr;
+    } else {
+      // Copy outside the lock.  The flag keeps the receiver from unwinding
+      // (on abort) while its buffer is still being written.
+      req->copy_in_flight = true;
+      lock.unlock();
+      env->payload.copy_to(req->buffer);
+      lock.lock();
+      req->copy_in_flight = false;
     }
-
-    // Defer the large memcpy to the caller, outside the lock.  The flag
-    // keeps the receiver from unwinding (on abort) while its buffer is
-    // still being written.
-    req->copy_in_flight = true;
-    return req;
+    // This runs on the sending thread, which is not waiting for `matched`:
+    // only the receiver needs a wakeup.
+    env->matched = true;
+    req->done = true;
+    wake(env->dest);
+    return;
   }
   mb.unexpected.push(env);
-  cv_.notify_all();
-  return nullptr;
+  wake(env->dest);
+}
+
+void Runtime::consume(std::unique_lock<std::mutex>& lock,
+                      detail::Envelope& env, std::byte* dst) {
+  if (dst != nullptr && env.payload.size() <= detail::kLockedCopyMax) {
+    env.payload.copy_to(dst);
+  } else if (dst != nullptr) {
+    // The envelope has left the mailbox, so an unwinding rendezvous sender
+    // waits for `matched` before it frees a borrowed payload.
+    lock.unlock();
+    env.payload.copy_to(dst);
+    lock.lock();
+  }
+  env.matched = true;
+  // Nobody waits on an eager envelope's flag.
+  if (env.rendezvous) wake(env.src_world);
+}
+
+void Runtime::retract(std::unique_lock<std::mutex>& lock, int rank,
+                      const std::shared_ptr<detail::RequestState>& req) {
+  if (req->copy_in_flight) {
+    while (!req->done) condvar(rank).wait(lock);
+  } else if (!req->done) {
+    std::erase(mailbox(rank).posted, req);
+  }
 }
 
 void Runtime::blocking_wait(std::unique_lock<std::mutex>& lock, int rank,
@@ -217,49 +230,41 @@ Runtime::WaitOutcome Runtime::blocking_wait_for(
     if (options_.detect_deadlock &&
         static_cast<int>(waiters_.size()) >= alive_) {
       // Throws DeadlockError if no waiter can make progress and none can
-      // time out; otherwise it has notified the runnable (or expiring)
-      // waiter(s) and we sleep until notified again.
+      // time out; otherwise it has woken the runnable (or expiring)
+      // waiter(s) and we sleep until woken again.
       check_deadlock_locked();
-      // The check may have expired OUR OWN wait.  Its notify_all cannot
-      // wake this thread (we are not in cv_.wait yet), so falling through
-      // to the wait would sleep forever when no other live rank remains to
-      // re-notify — re-check the flag instead of relying on a wakeup.
+      // The check may have expired OUR OWN wait.  Its wakeup cannot reach
+      // this thread (we are not waiting yet), so falling through to the
+      // wait would sleep forever when no other live rank remains to wake
+      // us — re-check the flag instead of relying on a wakeup.
       if (waiter.timed_out) return WaitOutcome::kTimedOut;
     }
-    cv_.wait(lock);
+    condvar(rank).wait(lock);
   }
   return WaitOutcome::kReady;
 }
 
 void Runtime::check_deadlock_locked() {
-  for (Waiter* w : waiters_) {
-    if ((*w->pred)()) {
-      // Someone can make progress; wake everyone so they notice.
-      cv_.notify_all();
-      return;
+  // A runnable waiter, or a flagged-but-unconsumed timeout (its waiter will
+  // withdraw its operation and retry), is progress: wake exactly those.
+  bool progress = false;
+  for (const Waiter* w : waiters_) {
+    if (w->timed_out || (*w->pred)()) {
+      wake(w->rank);
+      progress = true;
     }
   }
-  // A flagged-but-unconsumed timeout is progress: its waiter will wake,
-  // withdraw its operation, and retry — so the world is not stuck yet.
-  for (Waiter* w : waiters_) {
-    if (w->timed_out) {
-      cv_.notify_all();
-      return;
-    }
-  }
+  if (progress) return;
   // Nothing can complete: expire every timeout-capable wait (reliable
   // acknowledgement waits) before concluding the world is dead.
-  bool expired_any = false;
   for (Waiter* w : waiters_) {
     if (w->can_timeout) {
       w->timed_out = true;
-      expired_any = true;
+      wake(w->rank);
+      progress = true;
     }
   }
-  if (expired_any) {
-    cv_.notify_all();
-    return;
-  }
+  if (progress) return;
   std::ostringstream os;
   os << "global deadlock: every live rank is blocked and no pending "
         "operation can complete.";
@@ -276,7 +281,7 @@ void Runtime::check_deadlock_locked() {
   deadlocked_ = true;
   aborted_ = true;
   abort_reason_ = os.str();
-  cv_.notify_all();
+  wake_all();
   throw DeadlockError(abort_reason_);
 }
 
@@ -300,7 +305,7 @@ void Runtime::rank_exited(int rank, bool by_exception, const std::string& why) {
     if (shrink_acks_ > 0) shrink_poisoned_ = true;
   }
   maybe_finalize_shrink_locked();
-  cv_.notify_all();
+  wake_all();
 }
 
 void Runtime::note_rank_killed(int rank, const std::string& why) {
@@ -312,7 +317,7 @@ void Runtime::note_rank_killed(int rank, const std::string& why) {
     abort_from_kill_ = true;
     abort_reason_ = why;
   }
-  cv_.notify_all();
+  wake_all();
 }
 
 Runtime::ShrinkResult Runtime::failure_shrink(int world_rank) {
@@ -330,13 +335,13 @@ Runtime::ShrinkResult Runtime::failure_shrink(int world_rank) {
   const int my_gen = shrink_generation_;
   ++shrink_acks_;
   maybe_finalize_shrink_locked();
-  // Survivors park on the raw condition variable, NOT blocking_wait_for:
+  // Survivors park on their condition variable, NOT blocking_wait_for:
   // the global abort flag is still raised (that is the point), and a
   // parked survivor must not count as a deadlock-detection waiter.
   while (shrink_generation_ == my_gen) {
     if (deadlocked_) throw DeadlockError(abort_reason_);
     if (shrink_poisoned_) throw AbortError(abort_reason_);
-    cv_.wait(lock);
+    condvar(world_rank).wait(lock);
   }
   return shrink_last_;
 }
@@ -375,7 +380,7 @@ void Runtime::maybe_finalize_shrink_locked() {
   recovered_ = true;
   shrink_acks_ = 0;
   ++shrink_generation_;
-  cv_.notify_all();
+  wake_all();
 }
 
 }  // namespace detail_runtime

@@ -91,19 +91,29 @@ class Runtime {
   }
 
   /// Delivers an envelope: matches a posted receive if possible, otherwise
-  /// queues it as unexpected.  Lock must be held.
-  ///
-  /// Returns non-null when the envelope matched a posted receive whose
-  /// payload copy was deferred: the caller must release the lock, copy the
-  /// payload into the request's buffer, re-acquire the lock, clear
-  /// copy_in_flight, set req->done and env->matched, and notify.  (Large
-  /// memcpys are kept outside the global lock this way.)
-  [[nodiscard]] std::shared_ptr<detail::RequestState> deliver_locked(
-      const std::shared_ptr<detail::Envelope>& env);
+  /// queues it as unexpected, and wakes the destination rank.  The only
+  /// place a receiver is woken for its message.  Lock held on entry and
+  /// exit; it is released around a matched payload copy above
+  /// kLockedCopyMax bytes (copy_in_flight guards the receiver's buffer).
+  void deliver(std::unique_lock<std::mutex>& lock,
+               const std::shared_ptr<detail::Envelope>& env);
 
-  /// Blocks `rank` until pred() holds.  Lock must be held (and is released
-  /// while sleeping).  Throws DeadlockError/AbortError/RankFailedError on
-  /// global failure.
+  /// The receiver side of a message taken from the unexpected queue: copies
+  /// the payload to `dst` (nullptr: nothing to copy), with the lock
+  /// released above kLockedCopyMax bytes, marks the envelope matched and
+  /// wakes its sender when that sender waits for it (rendezvous only).
+  void consume(std::unique_lock<std::mutex>& lock, detail::Envelope& env,
+               std::byte* dst);
+
+  /// Keeps a posted receive's buffer safe while its owner `rank` unwinds or
+  /// gives up: waits out a sender's in-flight copy into it, or withdraws
+  /// the receive so no later sender writes into it.  Lock held.
+  void retract(std::unique_lock<std::mutex>& lock, int rank,
+               const std::shared_ptr<detail::RequestState>& req);
+
+  /// Blocks `rank` on condvar(rank) until pred() holds.  Lock must be held
+  /// (and is released while sleeping).  Throws DeadlockError/AbortError/
+  /// RankFailedError on global failure.
   void blocking_wait(std::unique_lock<std::mutex>& lock, int rank,
                      const char* what, const std::function<bool()>& pred);
 
@@ -164,7 +174,18 @@ class Runtime {
   }
 
   std::mutex& mutex() { return mu_; }
-  std::condition_variable& condvar() { return cv_; }
+  /// Rank `rank`'s own condition variable (on mutex()).  Every predicate a
+  /// rank sleeps on reads only state it owns — its mailbox, its requests,
+  /// the `matched` flag of its own rendezvous envelopes, its timed_out flag
+  /// — so whoever writes that state wakes exactly that rank.
+  std::condition_variable& condvar(int rank) {
+    return cvs_[static_cast<std::size_t>(rank)];
+  }
+  void wake(int rank) { condvar(rank).notify_all(); }
+  /// Global events only: rank exit, kill, abort, deadlock, shrink finalize.
+  void wake_all() {
+    for (std::condition_variable& cv : cvs_) cv.notify_all();
+  }
   detail::Mailbox& mailbox(int rank) {
     return mailboxes_[static_cast<std::size_t>(rank)];
   }
@@ -204,9 +225,9 @@ class Runtime {
     bool timed_out = false;
   };
 
-  /// With every live rank blocked, decides whether any waiter can still
-  /// make progress; if not, expires timeout-capable waiters, and only when
-  /// none exist flags a deadlock.  Lock must be held.
+  /// With every live rank blocked, wakes the waiters that can still make
+  /// progress; if none can, expires (and wakes) timeout-capable waiters,
+  /// and only when none exist flags a deadlock.  Lock must be held.
   void check_deadlock_locked();
 
   /// Closes a pending shrink barrier when every still-running rank has
@@ -215,7 +236,7 @@ class Runtime {
   void maybe_finalize_shrink_locked();
 
   std::mutex mu_;
-  std::condition_variable cv_;
+  std::vector<std::condition_variable> cvs_;  // one per world rank
   RuntimeOptions options_;
   perfmodel::CostModel cost_;
   int nranks_;
