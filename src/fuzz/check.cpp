@@ -328,20 +328,19 @@ std::string BackendEquivalence::summary(std::size_t max_lines) const {
   return os.str();
 }
 
-BackendEquivalence check_across_backends(const Program& p, bool skip_shm) {
+BackendEquivalence check_across_backends(const Program& p) {
   const Expectation e = oracle(p);
   const minimpi::FaultOptions& f = p.options.faults;
   const bool lossy = f.drop_prob > 0.0 || f.dup_prob > 0.0;
   const bool kills = f.kill_rank >= 0 && f.kill_at_call > 0;
   const bool compare_digests = !lossy && !kills;
 
+  constexpr minimpi::BackendKind kKinds[] = {minimpi::BackendKind::kThreads,
+                                             minimpi::BackendKind::kTcp};
   BackendEquivalence eq;
-  eq.digests.resize(3);
+  eq.digests.resize(std::size(kKinds));
   std::string threads_digest;
-  for (const minimpi::BackendKind kind :
-       {minimpi::BackendKind::kThreads, minimpi::BackendKind::kShm,
-        minimpi::BackendKind::kTcp}) {
-    if (skip_shm && kind == minimpi::BackendKind::kShm) continue;
+  for (const minimpi::BackendKind kind : kKinds) {
     Program variant = p;
     variant.options.backend.kind = kind;
     const ExecutionOutcome out = execute(variant);

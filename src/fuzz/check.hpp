@@ -45,13 +45,12 @@ struct CheckResult {
                                 const ExecutionOutcome& out);
 
 /// Outcome of replaying one program on every transport backend
-/// (threads, shm, tcp) and comparing against the threads run.
+/// (threads, tcp) and comparing against the threads run.
 struct BackendEquivalence {
   bool ok = true;
   /// Failures, each prefixed with the backend that produced it.
   std::vector<std::string> failures;
-  /// Per-backend digest, indexed like BackendKind (threads, shm, tcp).
-  /// Empty entries mean the backend leg was skipped (see skip_shm).
+  /// Per-backend digest, indexed like BackendKind (threads, tcp).
   std::vector<std::string> digests;
 
   [[nodiscard]] std::string summary(std::size_t max_lines = 8) const;
@@ -63,11 +62,8 @@ struct BackendEquivalence {
 /// Digest equality is only asserted for plans that cannot drop/duplicate
 /// or kill — under lossy plans the retry/stall counters inside the digest
 /// depend on thread scheduling and differ even between two runs on the
-/// SAME backend (each leg still must pass the oracle).  `skip_shm` skips
-/// the forked-router backend (used under ThreadSanitizer, which does not
-/// support the fork).
-[[nodiscard]] BackendEquivalence check_across_backends(const Program& p,
-                                                       bool skip_shm = false);
+/// SAME backend (each leg still must pass the oracle).
+[[nodiscard]] BackendEquivalence check_across_backends(const Program& p);
 
 /// Canonical fingerprint of an outcome, for bit-identical replay checks:
 /// calls, p2p totals, channels, and observation payloads.  Any-source

@@ -1,6 +1,5 @@
 // Backend seam: kind parsing, wire (de)serialization, and the default
-// in-process ThreadsBackend.  The shm and TCP transports live in
-// backend_shm.cpp / backend_tcp.cpp.
+// in-process ThreadsBackend.  The TCP transport lives in backend_tcp.cpp.
 #include "minimpi/backend.hpp"
 
 #include <condition_variable>
@@ -18,8 +17,6 @@ const char* to_string(BackendKind kind) {
   switch (kind) {
     case BackendKind::kThreads:
       return "threads";
-    case BackendKind::kShm:
-      return "shm";
     case BackendKind::kTcp:
       return "tcp";
   }
@@ -29,8 +26,6 @@ const char* to_string(BackendKind kind) {
 bool parse_backend_kind(std::string_view name, BackendKind* out) {
   if (name == "threads") {
     *out = BackendKind::kThreads;
-  } else if (name == "shm") {
-    *out = BackendKind::kShm;
   } else if (name == "tcp") {
     *out = BackendKind::kTcp;
   } else {
@@ -148,8 +143,6 @@ std::unique_ptr<Backend> make_backend(const BackendOptions& opt) {
   switch (opt.kind) {
     case BackendKind::kThreads:
       return make_threads_backend();
-    case BackendKind::kShm:
-      return make_shm_backend(opt);
     case BackendKind::kTcp:
       return make_tcp_backend(opt);
   }

@@ -6,10 +6,9 @@
 // Backend only moves opaque byte frames: the sender serializes an
 // envelope, pushes the frame into its per-rank channel, and receives the
 // frame back after it has genuinely crossed the backend's transport
-// (in-process queue, shared-memory rings serviced by a forked router
-// process, or the rank's own connected loopback TCP socket pair).  The
-// frame that comes back is deserialized into a fresh pooled envelope and
-// delivered through the ordinary mailbox path.
+// (in-process queue, or the rank's own connected loopback TCP socket
+// pair).  The frame that comes back is deserialized into a fresh pooled
+// envelope and delivered through the ordinary mailbox path.
 //
 // Because the same rank thread performs delivery at the same program
 // point on every backend, and the simulated-timing fields travel inside
@@ -20,16 +19,14 @@
 //  * channel `r` belongs to world rank `r`; only that rank's thread calls
 //    send(r, ...)/recv(r, ...), and frames echo back in FIFO order;
 //  * send() may block on backpressure but always completes while the
-//    transport (router process / socket pair) is alive; a frame larger
-//    than the transport's buffers never wedges it (see Spill);
+//    transport is alive; a frame larger than the transport's buffers
+//    never wedges it (see the spill rule in backend_tcp.cpp);
 //  * recv() blocks until the next frame for `r` arrives, and fails loudly
 //    (MpiError) instead of hanging forever if the transport dies.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <span>
 #include <string_view>
@@ -40,7 +37,7 @@
 
 namespace dipdc::minimpi {
 
-/// Canonical CLI name of a backend kind ("threads" / "shm" / "tcp").
+/// Canonical CLI name of a backend kind ("threads" / "tcp").
 [[nodiscard]] const char* to_string(BackendKind kind);
 
 /// Parses a CLI spelling into a BackendKind; false when unrecognised.
@@ -60,9 +57,8 @@ class Backend {
   /// handoff (borrowed/shared buffers) is safe.
   [[nodiscard]] virtual bool shares_address_space() const = 0;
 
-  /// Establishes the per-rank channels (rings + router, socket pairs).
-  /// Called exactly once, before any rank thread exists — the shm backend
-  /// forks its router here, while the process is still single-threaded.
+  /// Establishes the per-rank channels (socket pairs).  Called exactly
+  /// once, before any rank thread exists.
   virtual void connect(int nranks) = 0;
 
   /// Pushes one frame into world rank `rank`'s channel.
@@ -72,59 +68,9 @@ class Backend {
   /// `frame` with it.
   virtual void recv(int rank, std::vector<std::byte>& frame) = 0;
 
-  /// Tears the transport down (stops the router, releases rings and
-  /// sockets).  Idempotent; also invoked by the destructor.
+  /// Tears the transport down (closes the sockets).  Idempotent; also
+  /// invoked by the destructor.
   virtual void finalize() = 0;
-};
-
-/// The echo rule the shm and tcp backends share.  A frame larger than the
-/// transport's buffers cannot sit in both directions at once: while the
-/// rank is still pushing its tail, the echo of its head fills the return
-/// path, and unless someone drains it both sides wedge.  So a sender that
-/// cannot push parks whatever has come back in its Spill, and every read
-/// serves the spill before the transport: those bytes left the transport
-/// earlier, and transport order is frame order.  Each rank strictly
-/// alternates send/recv on its own channel, so a Spill is plain state
-/// touched only by its rank's thread.
-class Spill {
- public:
-  /// Parks what `pull(dst, max)` produces without blocking (it returns
-  /// the byte count, 0 when nothing is ready); returns that count.
-  template <class Pull>
-  std::size_t park(std::size_t max, Pull&& pull) {
-    const std::size_t old = bytes_.size();
-    bytes_.resize(old + max);
-    const std::size_t got = pull(bytes_.data() + old, max);
-    bytes_.resize(old + got);
-    return got;
-  }
-
-  /// Fills `frame` with the next length-prefixed frame: parked bytes
-  /// first, then `pull(dst, n)`, which blocks until it has produced at
-  /// least one of the n bytes asked for and returns how many.
-  template <class Pull>
-  void recv_frame(std::vector<std::byte>& frame, Pull&& pull) {
-    std::uint64_t len = 0;
-    read(reinterpret_cast<std::byte*>(&len), sizeof(len), pull);
-    frame.resize(static_cast<std::size_t>(len));
-    read(frame.data(), frame.size(), pull);
-  }
-
- private:
-  template <class Pull>
-  void read(std::byte* dst, std::size_t n, Pull& pull) {
-    std::size_t got = std::min(n, bytes_.size() - consumed_);
-    if (got > 0) std::memcpy(dst, bytes_.data() + consumed_, got);
-    consumed_ += got;
-    if (consumed_ == bytes_.size()) {
-      bytes_.clear();
-      consumed_ = 0;
-    }
-    while (got < n) got += pull(dst + got, n - got);
-  }
-
-  std::vector<std::byte> bytes_;
-  std::size_t consumed_ = 0;
 };
 
 /// Wire header of one serialized envelope.  All simulated-timing fields
@@ -165,11 +111,9 @@ void deserialize_envelope(std::span<const std::byte> frame,
 [[nodiscard]] std::unique_ptr<Backend> make_backend(
     const BackendOptions& opt);
 
-/// The two multi-process/-socket backends, exposed for make_backend and
-/// direct unit tests (backend.cpp, backend_shm.cpp, backend_tcp.cpp).
+/// The two backends, exposed for make_backend and direct unit tests
+/// (backend.cpp, backend_tcp.cpp).
 [[nodiscard]] std::unique_ptr<Backend> make_threads_backend();
-[[nodiscard]] std::unique_ptr<Backend> make_shm_backend(
-    const BackendOptions& opt);
 [[nodiscard]] std::unique_ptr<Backend> make_tcp_backend(
     const BackendOptions& opt);
 

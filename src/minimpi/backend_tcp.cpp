@@ -4,6 +4,15 @@
 // accepted end by the same rank thread.  A multi-machine peer would
 // replace "read back off my own connection's far end" with "the
 // destination host reads it"; framing and the runtime seam stay.
+//
+// The spill rule.  A frame larger than the socket buffers cannot sit in
+// both directions at once: while the rank is still pushing its tail, the
+// echo of its head fills the return path, and unless someone drains it
+// both ends wedge.  So a sender that cannot push parks whatever has come
+// back in its channel's spill, and every read serves the spill before the
+// socket: those bytes left the socket earlier, and socket order is frame
+// order.  Each rank strictly alternates send/recv on its own channel, so
+// a spill is plain state touched only by its rank's thread.
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -12,6 +21,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -24,7 +34,7 @@ namespace dipdc::minimpi::detail_backend {
 
 namespace {
 
-/// Bytes moved off the accepted end per park() while a send is blocked.
+/// Bytes moved off the accepted end per read while a blocked send parks.
 constexpr std::size_t kParkChunk = 64 * 1024;
 
 [[noreturn]] void throw_errno(const char* what) {
@@ -161,7 +171,7 @@ class TcpBackend final : public Backend {
       Fd rx = accept_peer_of(listener.get(), tx.get());
       configure(tx.get());
       configure(rx.get());
-      channels_.push_back(Channel{std::move(tx), std::move(rx), Spill{}});
+      channels_.push_back(Channel{std::move(tx), std::move(rx), {}, 0});
     }
   }
 
@@ -188,27 +198,18 @@ class TcpBackend final : public Backend {
       }
       if (errno == EINTR) continue;
       if (errno != EAGAIN && errno != EWOULDBLOCK) throw_errno("sendmsg");
-      const int rx = ch.rx.get();
-      const auto pull = [rx](std::byte* dst, std::size_t n) {
-        return read_some(rx, dst, n);
-      };
-      while (ch.spill.park(kParkChunk, pull) > 0) continue;
-      pollfd fds[2] = {{ch.tx.get(), POLLOUT, 0}, {rx, POLLIN, 0}};
+      ch.park();
+      pollfd fds[2] = {{ch.tx.get(), POLLOUT, 0}, {ch.rx.get(), POLLIN, 0}};
       wait_ready(fds, 2);
     }
   }
 
   void recv(int rank, std::vector<std::byte>& frame) override {
     Channel& ch = channels_[static_cast<std::size_t>(rank)];
-    const int rx = ch.rx.get();
-    ch.spill.recv_frame(frame, [rx](std::byte* dst, std::size_t n) {
-      for (;;) {
-        const std::size_t got = read_some(rx, dst, n);
-        if (got > 0) return got;
-        pollfd fd{rx, POLLIN, 0};
-        wait_ready(&fd, 1);
-      }
-    });
+    std::uint64_t len = 0;
+    ch.read(reinterpret_cast<std::byte*>(&len), sizeof(len));
+    frame.resize(static_cast<std::size_t>(len));
+    ch.read(frame.data(), frame.size());
   }
 
   void finalize() override { channels_.clear(); }
@@ -219,7 +220,40 @@ class TcpBackend final : public Backend {
   struct Channel {
     Fd tx;
     Fd rx;
-    Spill spill;
+    std::vector<std::byte> spill;  // echoed bytes parked by a blocked send
+    std::size_t spill_read = 0;    // how many of them recv has consumed
+
+    /// Parks everything `rx` has ready, without blocking.
+    void park() {
+      for (;;) {
+        const std::size_t old = spill.size();
+        spill.resize(old + kParkChunk);
+        const std::size_t got = read_some(rx.get(), spill.data() + old,
+                                          kParkChunk);
+        spill.resize(old + got);
+        if (got == 0) return;
+      }
+    }
+
+    /// Fills `dst` with the next n bytes: parked ones first, then `rx`,
+    /// blocking until they arrive.
+    void read(std::byte* dst, std::size_t n) {
+      std::size_t got = std::min(n, spill.size() - spill_read);
+      if (got > 0) std::memcpy(dst, spill.data() + spill_read, got);
+      spill_read += got;
+      if (spill_read == spill.size()) {
+        spill.clear();
+        spill_read = 0;
+      }
+      while (got < n) {
+        const std::size_t more = read_some(rx.get(), dst + got, n - got);
+        if (more == 0) {
+          pollfd fd{rx.get(), POLLIN, 0};
+          wait_ready(&fd, 1);
+        }
+        got += more;
+      }
+    }
   };
 
   std::string host_;

@@ -190,7 +190,7 @@ void Comm::send_bytes(std::span<const std::byte> data, int dest, int tag,
     st.last_tx_seq = env->trace_seq;
   }
   // Zero-copy borrowing is only sound when the receiver lives in this
-  // address space; across the shm/tcp seam the borrow degrades to a copy
+  // address space; across the tcp seam the borrow degrades to a copy
   // (satellite of the backend work: fail safe, never dangle).
   env->payload =
       build_payload(data,
@@ -233,7 +233,7 @@ void Comm::send_bytes(std::span<const std::byte> data, int dest, int tag,
     dup->byte_time = env->byte_time;
   }
   // Cross the transport seam (identity on the threads backend; a serialize/
-  // round-trip/deserialize through the router or socket pair on shm/tcp).
+  // round-trip/deserialize through the socket pair on tcp).
   env = runtime_->transport_envelope(std::move(env));
   if (dup) dup = runtime_->transport_envelope(std::move(dup));
 
@@ -606,7 +606,7 @@ void Comm::send_staged(const detail::StagedBuffer& data, int dest, int tag) {
   }
 
   // Timing before the seam, seam before the lock (see send_bytes).  A
-  // shared staging buffer crossing the shm/tcp seam is flattened into the
+  // shared staging buffer crossing the tcp seam is flattened into the
   // frame by serialization — the refcounted buffer stays valid throughout,
   // so sharing into the envelope is safe on every backend.
   const double alpha = cost_model().message_time(world_rank_, wdest, 0);

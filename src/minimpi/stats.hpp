@@ -51,7 +51,7 @@ struct CommStats {
   std::uint64_t rendezvous_stalls = 0;
 
   /// Envelopes serialized through a non-shared-memory transport backend
-  /// (shm/tcp), and the wire bytes those frames carried (header included).
+  /// (tcp), and the wire bytes those frames carried (header included).
   /// Always zero on the threads backend, which skips the seam entirely.
   std::uint64_t backend_frames = 0;
   std::uint64_t backend_wire_bytes = 0;

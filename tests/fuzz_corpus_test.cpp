@@ -78,25 +78,14 @@ TEST(FuzzCorpus, ReplayIsBitIdenticalFromSeedAlone) {
 
 TEST(FuzzCorpus, EverySeedIsBitIdenticalAcrossBackends) {
   // The cross-backend conformance oracle: each corpus seed replays on the
-  // shm and tcp transports and must (a) pass the sequential oracle there
-  // and (b) for non-lossy plans, produce an outcome digest bit-identical
-  // to the threads run.  The simulated-timing fields travel inside the
+  // tcp transport and must (a) pass the sequential oracle there and (b)
+  // for non-lossy plans, produce an outcome digest bit-identical to the
+  // threads run.  The simulated-timing fields travel inside the
   // wire frames, so any divergence means the seam corrupted an envelope.
-#if defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-  constexpr bool kSkipShm = true;
-#else
-  constexpr bool kSkipShm = false;
-#endif
-#elif defined(__SANITIZE_THREAD__)
-  constexpr bool kSkipShm = true;
-#else
-  constexpr bool kSkipShm = false;
-#endif
   for (const std::string& path : corpus_files()) {
     SCOPED_TRACE(path);
     const fz::Program p = fz::load_seed(path).materialize();
-    const fz::BackendEquivalence eq = fz::check_across_backends(p, kSkipShm);
+    const fz::BackendEquivalence eq = fz::check_across_backends(p);
     EXPECT_TRUE(eq.ok) << eq.summary();
   }
 }

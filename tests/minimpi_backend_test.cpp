@@ -3,7 +3,7 @@
 // Three layers:
 //  1. Unit tests of the seam pieces themselves: wire (de)serialization and
 //     the raw channel contract each backend fulfils.
-//  2. Cross-backend equivalence: the same program on threads/shm/tcp must
+//  2. Cross-backend equivalence: the same program on threads and tcp must
 //     produce bit-identical simulated times and user-visible counters —
 //     the seam carries simulated timing inside the frame and delivery
 //     happens at the same program point on every backend, so nothing may
@@ -25,38 +25,15 @@
 #include "minimpi/error.hpp"
 #include "minimpi/ops.hpp"
 #include "minimpi/runtime.hpp"
+#include "run_forced.hpp"
 
 namespace mpi = dipdc::minimpi;
 namespace mb = dipdc::minimpi::detail_backend;
 
-#if defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define DIPDC_TSAN 1
-#endif
-#endif
-#if !defined(DIPDC_TSAN) && defined(__SANITIZE_THREAD__)
-#define DIPDC_TSAN 1
-#endif
-
 namespace {
 
-/// The shm backend forks a router process; under ThreadSanitizer fork is
-/// only supported in limited ways and the child's shadow state is not
-/// usable, so those tests are skipped in TSan builds (the tcp and threads
-/// legs still run).
-bool skip_under_tsan(mpi::BackendKind kind) {
-#ifdef DIPDC_TSAN
-  return kind == mpi::BackendKind::kShm;
-#else
-  (void)kind;
-  return false;
-#endif
-}
-
-std::vector<mpi::BackendKind> all_backends() {
-  return {mpi::BackendKind::kThreads, mpi::BackendKind::kShm,
-          mpi::BackendKind::kTcp};
-}
+using dipdc::testing::all_backends;
+using dipdc::testing::other_backends;
 
 mpi::RuntimeOptions with_backend(mpi::BackendKind kind,
                                  mpi::RuntimeOptions base = {}) {
@@ -77,9 +54,7 @@ void expect_equivalent_across_backends(
     mpi::RuntimeOptions base = {}) {
   const mpi::RunResult ref =
       mpi::run(nranks, fn, with_backend(mpi::BackendKind::kThreads, base));
-  for (const mpi::BackendKind kind :
-       {mpi::BackendKind::kShm, mpi::BackendKind::kTcp}) {
-    if (skip_under_tsan(kind)) continue;
+  for (const mpi::BackendKind kind : other_backends()) {
     SCOPED_TRACE(std::string("backend=") + mpi::to_string(kind));
     const mpi::RunResult got = mpi::run(nranks, fn, with_backend(kind, base));
     ASSERT_EQ(got.sim_times.size(), ref.sim_times.size());
@@ -123,6 +98,7 @@ TEST(BackendWire, KindNamesRoundTrip) {
   }
   mpi::BackendKind parsed{};
   EXPECT_FALSE(mpi::parse_backend_kind("carrier-pigeon", &parsed));
+  EXPECT_FALSE(mpi::parse_backend_kind("shm", &parsed));
   EXPECT_FALSE(mpi::parse_backend_kind("", &parsed));
 }
 
@@ -213,14 +189,8 @@ TEST(BackendWire, MalformedFramesAreRejected) {
 class BackendChannel : public ::testing::TestWithParam<mpi::BackendKind> {};
 
 TEST_P(BackendChannel, EchoesFramesInFifoOrder) {
-  if (skip_under_tsan(GetParam())) {
-    GTEST_SKIP() << "shm backend forks; not supported under TSan";
-  }
   mpi::BackendOptions opt;
   opt.kind = GetParam();
-  // A deliberately tiny ring so multi-kilobyte frames must stream through
-  // in several chunks.
-  opt.shm_ring_bytes = 256;
   auto backend = mb::make_backend(opt);
   EXPECT_STREQ(backend->name(), mpi::to_string(GetParam()));
   backend->connect(/*nranks=*/2);
@@ -253,9 +223,6 @@ TEST_P(BackendChannel, EchoesFramesInFifoOrder) {
 }
 
 TEST_P(BackendChannel, ConcurrentRanksEchoOnlyTheirOwnFrames) {
-  if (skip_under_tsan(GetParam())) {
-    GTEST_SKIP() << "shm backend forks; not supported under TSan";
-  }
   constexpr int kRanks = 8;
   mpi::BackendOptions opt;
   opt.kind = GetParam();
@@ -371,9 +338,6 @@ TEST(BackendEquivalence, SimComputePhasesInterleaved) {
 class BackendFailures : public ::testing::TestWithParam<mpi::BackendKind> {};
 
 TEST_P(BackendFailures, DeadlockStillDetected) {
-  if (skip_under_tsan(GetParam())) {
-    GTEST_SKIP() << "shm backend forks; not supported under TSan";
-  }
   // Both ranks post a receive nobody will ever satisfy.  A rank blocked in
   // a *backend* channel never registers as a runtime waiter, so this also
   // regression-tests that the detector neither misses the deadlock nor
@@ -389,9 +353,6 @@ TEST_P(BackendFailures, DeadlockStillDetected) {
 }
 
 TEST_P(BackendFailures, RendezvousDeadlockStillDetected) {
-  if (skip_under_tsan(GetParam())) {
-    GTEST_SKIP() << "shm backend forks; not supported under TSan";
-  }
   // Head-to-head blocking rendezvous sends: the classic Module 1 deadlock.
   // The frame round-trip happens BEFORE the sender blocks, so the detector
   // sees both ranks as waiters exactly like on the threads backend.
@@ -410,9 +371,6 @@ TEST_P(BackendFailures, RendezvousDeadlockStillDetected) {
 }
 
 TEST_P(BackendFailures, FaultKillPropagates) {
-  if (skip_under_tsan(GetParam())) {
-    GTEST_SKIP() << "shm backend forks; not supported under TSan";
-  }
   mpi::RuntimeOptions opt = with_backend(GetParam());
   opt.faults.kill_rank = 1;
   opt.faults.kill_at_call = 1;
@@ -427,9 +385,6 @@ TEST_P(BackendFailures, FaultKillPropagates) {
 }
 
 TEST_P(BackendFailures, ReliableDeliveryRecoversFromDrops) {
-  if (skip_under_tsan(GetParam())) {
-    GTEST_SKIP() << "shm backend forks; not supported under TSan";
-  }
   mpi::RuntimeOptions opt = with_backend(GetParam());
   opt.faults.seed = 7;
   opt.faults.drop_prob = 0.5;
@@ -449,32 +404,76 @@ TEST_P(BackendFailures, ReliableDeliveryRecoversFromDrops) {
   EXPECT_GT(res.total_stats().reliable_retries, 0u);
 }
 
-TEST_P(BackendFailures, LargeFramesStreamThroughTinyShmRing) {
-  if (GetParam() != mpi::BackendKind::kShm) {
-    GTEST_SKIP() << "ring sizing only applies to the shm backend";
-  }
-#ifdef DIPDC_TSAN
-  GTEST_SKIP() << "shm backend forks; not supported under TSan";
-#endif
-  // A 4 KiB ring versus a ~1 MiB rendezvous payload: frames must stream
-  // through the ring in chunks without corruption.
-  mpi::RuntimeOptions opt = with_backend(mpi::BackendKind::kShm);
-  opt.backend.shm_ring_bytes = 4096;
+TEST_P(BackendFailures, RendezvousPayloadOutgrowsSocketBuffers) {
+  // One 16 MiB rendezvous payload, larger than the loopback socket
+  // buffers: on tcp its echo must be parked while the tail is still being
+  // sent (the spill rule), and no element may be lost or reordered.
   mpi::run(
       2,
       [](mpi::Comm& comm) {
-        std::vector<std::uint64_t> data(128 * 1024);
+        std::vector<std::uint64_t> data((std::size_t{16} << 20) /
+                                        sizeof(std::uint64_t));
         if (comm.rank() == 0) {
           std::iota(data.begin(), data.end(), std::uint64_t{0});
           comm.send(std::span<const std::uint64_t>(data), 1);
         } else {
           comm.recv(std::span<std::uint64_t>(data), 0);
-          for (std::size_t i = 0; i < data.size(); i += 9973) {
-            ASSERT_EQ(data[i], i);
+          std::size_t wrong = 0;
+          for (std::size_t i = 0; i < data.size(); ++i) {
+            if (data[i] != i) ++wrong;
           }
+          EXPECT_EQ(wrong, 0u);
         }
       },
-      opt);
+      with_backend(GetParam()));
+}
+
+TEST_P(BackendFailures, SendrecvPayloadsOutgrowSocketBuffersBothWays) {
+  // Two 16 MiB payloads crossing at once: both ranks are mid-send while
+  // their echoes come back, so on tcp each rank parks its own spill while
+  // its peer does the same.  Every element must arrive, on both sides.
+  mpi::run(
+      2,
+      [](mpi::Comm& comm) {
+        constexpr std::size_t kCount =
+            (std::size_t{16} << 20) / sizeof(std::uint64_t);
+        const auto offset = static_cast<std::uint64_t>(comm.rank()) << 32;
+        std::vector<std::uint64_t> out(kCount);
+        std::vector<std::uint64_t> in(kCount);
+        std::iota(out.begin(), out.end(), offset);
+        const int peer = 1 - comm.rank();
+        comm.sendrecv(std::span<const std::uint64_t>(out), peer, 0,
+                      std::span<std::uint64_t>(in), peer, 0);
+        const auto peer_offset = static_cast<std::uint64_t>(peer) << 32;
+        std::size_t wrong = 0;
+        for (std::size_t i = 0; i < kCount; ++i) {
+          if (in[i] != peer_offset + i) ++wrong;
+        }
+        EXPECT_EQ(wrong, 0u);
+      },
+      with_backend(GetParam()));
+}
+
+TEST_P(BackendFailures, LargeBcastReachesEveryRankIntact) {
+  // A 16 MiB broadcast over four ranks: the collective's internal frames
+  // cross the seam from several ranks at once and must reassemble into
+  // the root's buffer, element for element, everywhere.
+  mpi::run(
+      4,
+      [](mpi::Comm& comm) {
+        std::vector<std::uint64_t> data((std::size_t{16} << 20) /
+                                        sizeof(std::uint64_t));
+        if (comm.rank() == 0) {
+          std::iota(data.begin(), data.end(), std::uint64_t{0});
+        }
+        comm.bcast(std::span<std::uint64_t>(data), 0);
+        std::size_t wrong = 0;
+        for (std::size_t i = 0; i < data.size(); ++i) {
+          if (data[i] != i) ++wrong;
+        }
+        EXPECT_EQ(wrong, 0u);
+      },
+      with_backend(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendFailures,
@@ -500,9 +499,7 @@ TEST(BackendTeardown, TcpWorldsTearDownWithoutWaiting) {
 // seam, never dangle (the whole point of forcing real serialization).
 
 TEST(BackendZeroCopy, RendezvousBorrowDegradesToCopyAcrossSeam) {
-  for (const mpi::BackendKind kind :
-       {mpi::BackendKind::kShm, mpi::BackendKind::kTcp}) {
-    if (skip_under_tsan(kind)) continue;
+  for (const mpi::BackendKind kind : other_backends()) {
     SCOPED_TRACE(mpi::to_string(kind));
     mpi::RuntimeOptions opt = with_backend(kind);
     opt.eager_threshold = 0;  // force the rendezvous (borrow-eligible) path

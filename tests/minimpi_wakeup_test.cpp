@@ -22,30 +22,13 @@
 #include "minimpi/comm.hpp"
 #include "minimpi/error.hpp"
 #include "minimpi/runtime.hpp"
+#include "run_forced.hpp"
 
 namespace mpi = dipdc::minimpi;
 
-#if defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define DIPDC_TSAN 1
-#endif
-#endif
-#if !defined(DIPDC_TSAN) && defined(__SANITIZE_THREAD__)
-#define DIPDC_TSAN 1
-#endif
-
 namespace {
 
-/// Backends to run on.  The shm backend forks a router process, which
-/// ThreadSanitizer does not support, so TSan builds skip it.
-std::vector<mpi::BackendKind> backends() {
-#ifdef DIPDC_TSAN
-  return {mpi::BackendKind::kThreads, mpi::BackendKind::kTcp};
-#else
-  return {mpi::BackendKind::kThreads, mpi::BackendKind::kShm,
-          mpi::BackendKind::kTcp};
-#endif
-}
+using dipdc::testing::all_backends;
 
 /// Voluntary context switches of the calling thread so far.
 long voluntary_switches() {
@@ -230,7 +213,7 @@ std::vector<WakeCase> wake_cases() {
 
 TEST(Wakeups, BystanderSleepsThroughPeerTraffic) {
   constexpr int kRoundTrips = 2000;
-  for (const mpi::BackendKind kind : backends()) {
+  for (const mpi::BackendKind kind : all_backends()) {
     long bystander = -1;
     mpi::RuntimeOptions options;
     options.backend.kind = kind;
@@ -260,7 +243,7 @@ TEST(Wakeups, BystanderSleepsThroughPeerTraffic) {
 }
 
 TEST(Wakeups, EveryBlockingSiteWakesOnItsEvent) {
-  for (const mpi::BackendKind kind : backends()) {
+  for (const mpi::BackendKind kind : all_backends()) {
     for (const WakeCase& c : wake_cases()) {
       SCOPED_TRACE(std::string(c.name) + " on " + mpi::to_string(kind));
       mpi::RuntimeOptions options;

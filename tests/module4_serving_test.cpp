@@ -1,15 +1,18 @@
 // Module 4 serving mode: deterministic workload generation, admission
-// accounting, an independent match-count oracle, and bit-identity of the
-// whole serving run across transport backends and kernel ISAs.
+// accounting, an independent match-count oracle, bit-identity of the
+// whole serving run across transport backends and kernel ISAs, and clean
+// failure when the driver or a shard is killed.
 #include "modules/rangequery/serving.hpp"
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "index/geometry.hpp"
 #include "kernels/dispatch.hpp"
+#include "minimpi/error.hpp"
 #include "support/rng.hpp"
 #include "run_forced.hpp"
 
@@ -267,4 +270,43 @@ TEST(Serving, RequiresDriverAndShard) {
                    return m4::serve(comm, m4::ServeConfig{});
                  }),
       dipdc::support::PreconditionError);
+}
+
+// A killed driver or shard fails the whole run cleanly instead of hanging
+// its peers: run() rethrows the dead rank's RankFailedError, whose message
+// names the rank, the call index and the primitive.  The kill lands at the
+// same program point on every backend, so the message is identical too.
+TEST(ServingFaults, KilledDriverOrShardFailsTheRunOnEveryBackend) {
+  const m4::ServeConfig cfg = small_config();
+  for (const int kill_rank : {0, 1, 3}) {
+    for (const std::uint64_t at_call : {1u, 7u, 40u, 100u}) {
+      const std::string want =
+          "rank " + std::to_string(kill_rank) +
+          " killed by fault injection at primitive call " +
+          std::to_string(at_call) + " (MPI_";
+      std::string first;  // the diagnostic on the first backend
+      for (const mpi::BackendKind kind : all_backends()) {
+        SCOPED_TRACE(std::string(mpi::to_string(kind)) + " kill=" +
+                     std::to_string(kill_rank) + "@" +
+                     std::to_string(at_call));
+        mpi::RuntimeOptions opts = forced(kind);
+        opts.faults.kill_rank = kill_rank;
+        opts.faults.kill_at_call = at_call;
+        std::string what;
+        try {
+          run_forced(4, opts,
+                     [&](mpi::Comm& comm) { return m4::serve(comm, cfg); });
+        } catch (const mpi::RankFailedError& e) {
+          what = e.what();
+        }
+        EXPECT_TRUE(what.starts_with(want)) << what;
+        EXPECT_TRUE(what.ends_with(")")) << what;
+        if (first.empty()) {
+          first = what;
+        } else {
+          EXPECT_EQ(what, first);
+        }
+      }
+    }
+  }
 }

@@ -81,7 +81,7 @@ std::vector<mpi::RuntimeOptions> transport_variants() {
 
 TEST(Determinism, Module2ResultsAreBackendInvariant) {
   // The transport backend moves real bytes differently (in-process
-  // mailboxes, a forked shm router, kernel loopback sockets) but the
+  // mailboxes, kernel loopback sockets) but the
   // simulated experiment must not notice: checksum, sim clock, and
   // byte counters are bit-identical on every backend.
   const auto d = io::generate_uniform(96, 16, 0.0, 1.0, 11);

@@ -21,7 +21,7 @@
 // --shrink=0 (skip minimisation), --out=DIR (where
 // repro artifacts go), --keep-going (do not stop at the first failure),
 // --print (list each failing program), --replay=FILE, --backend=B (run on
-// the threads/shm/tcp transport), --cross-backend (every seed on all three
+// the threads/tcp transport), --cross-backend (every seed on both
 // backends with bit-identical digests), --smoke.
 //
 // Exit codes: 0 all seeds clean, 1 mismatch found (or replay failed),
@@ -76,8 +76,8 @@ void usage() {
       "  --keep-going      do not stop at the first failure\n"
       "  --print           list each failing (or replayed) program\n"
       "  --replay=FILE     re-run a persisted .seed failure file\n"
-      "  --backend=B       transport backend: threads (default), shm, tcp\n"
-      "  --cross-backend   run every seed on all three backends and require\n"
+      "  --backend=B       transport backend: threads (default), tcp\n"
+      "  --cross-backend   run every seed on both backends and require\n"
       "                    bit-identical digests (overrides --backend)\n"
       "  --smoke           quick PR-gate preset (40 seeds, small programs)\n"
       "  --help            this summary\n"
@@ -303,7 +303,7 @@ int main(int argc, char** argv) {
   const std::string backend_name = args.get("backend", "threads");
   if (!mpi::parse_backend_kind(backend_name, &cfg.backend)) {
     std::fprintf(stderr,
-                 "error: unknown --backend '%s' (threads|shm|tcp)\n",
+                 "error: unknown --backend '%s' (threads|tcp)\n",
                  backend_name.c_str());
     return 2;
   }
