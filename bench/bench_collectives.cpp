@@ -1,18 +1,12 @@
 // Wall-clock microbenchmarks of the minimpi collectives, via
-// google-benchmark.  Every collective runs in two configurations:
+// google-benchmark.  The BM_*Tuned series runs every collective in the
+// default configuration: pooled envelopes/buffers, zero-copy staging, and
+// kAuto algorithm selection (tree / recursive-doubling / ring).
 //
-//   * baseline — the pre-fast-path transport (no pooling, no zero-copy, no
-//     inline storage) with every collective forced onto its classic
-//     algorithm; this reproduces the seed implementation's behaviour.
-//   * tuned — the defaults: pooled envelopes/buffers, zero-copy staging,
-//     and kAuto algorithm selection (tree / recursive-doubling / ring).
-//
-// Simulated results are identical between the two (the determinism tests
-// pin that); what differs is real time, which is what this binary measures.
 // The `bench_json` target runs it with JSON output into
 // BENCH_collectives.json at the repository root.
 //
-// A third axis measures the transport backends: bcast (latency) and
+// A second axis measures the transport backends: bcast (latency) and
 // allreduce (bandwidth) additionally run with ranks as TCP loopback
 // peers.  Simulated results stay bit-identical (minimpi_backend_test pins
 // that); the rows quantify the real-time cost of true serialization + a
@@ -34,18 +28,6 @@ namespace {
 /// Collective invocations per rank per mpi::run, to amortize the thread
 /// spawn/join cost of one world over several measured operations.
 constexpr int kInner = 4;
-
-mpi::RuntimeOptions baseline_options() {
-  mpi::RuntimeOptions opts;
-  opts.transport.pooling = false;
-  opts.transport.zero_copy = false;
-  opts.transport.inline_threshold = 0;
-  opts.collectives.scatter = mpi::CollectiveAlgorithm::kClassic;
-  opts.collectives.gather = mpi::CollectiveAlgorithm::kClassic;
-  opts.collectives.allreduce = mpi::CollectiveAlgorithm::kClassic;
-  opts.collectives.allgather = mpi::CollectiveAlgorithm::kClassic;
-  return opts;
-}
 
 mpi::RuntimeOptions tuned_options() { return {}; }
 
@@ -184,24 +166,11 @@ void run_alltoallv(benchmark::State& state, const mpi::RuntimeOptions& opts) {
                           static_cast<std::int64_t>(bytes));
 }
 
-void BM_BcastBaseline(benchmark::State& s) { run_bcast(s, baseline_options()); }
 void BM_BcastTuned(benchmark::State& s) { run_bcast(s, tuned_options()); }
-void BM_ScattervBaseline(benchmark::State& s) {
-  run_scatterv(s, baseline_options());
-}
 void BM_ScattervTuned(benchmark::State& s) { run_scatterv(s, tuned_options()); }
-void BM_GathervBaseline(benchmark::State& s) {
-  run_gatherv(s, baseline_options());
-}
 void BM_GathervTuned(benchmark::State& s) { run_gatherv(s, tuned_options()); }
-void BM_AllreduceBaseline(benchmark::State& s) {
-  run_allreduce(s, baseline_options());
-}
 void BM_AllreduceTuned(benchmark::State& s) {
   run_allreduce(s, tuned_options());
-}
-void BM_AlltoallvBaseline(benchmark::State& s) {
-  run_alltoallv(s, baseline_options());
 }
 void BM_AlltoallvTuned(benchmark::State& s) {
   run_alltoallv(s, tuned_options());
@@ -238,15 +207,10 @@ const std::vector<std::vector<std::int64_t>> kBackendGrid = {
 
 }  // namespace
 
-BENCHMARK(BM_BcastBaseline)->ArgsProduct(kGrid)->UseRealTime();
 BENCHMARK(BM_BcastTuned)->ArgsProduct(kGrid)->UseRealTime();
-BENCHMARK(BM_ScattervBaseline)->ArgsProduct(kGrid)->UseRealTime();
 BENCHMARK(BM_ScattervTuned)->ArgsProduct(kGrid)->UseRealTime();
-BENCHMARK(BM_GathervBaseline)->ArgsProduct(kGrid)->UseRealTime();
 BENCHMARK(BM_GathervTuned)->ArgsProduct(kGrid)->UseRealTime();
-BENCHMARK(BM_AllreduceBaseline)->ArgsProduct(kGrid)->UseRealTime();
 BENCHMARK(BM_AllreduceTuned)->ArgsProduct(kGrid)->UseRealTime();
-BENCHMARK(BM_AlltoallvBaseline)->ArgsProduct(kGrid)->UseRealTime();
 BENCHMARK(BM_AlltoallvTuned)->ArgsProduct(kGrid)->UseRealTime();
 BENCHMARK(BM_BcastThreads)->ArgsProduct(kBackendGrid)->UseRealTime();
 BENCHMARK(BM_AllreduceThreads)->ArgsProduct(kBackendGrid)->UseRealTime();

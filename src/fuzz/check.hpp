@@ -50,8 +50,6 @@ struct BackendEquivalence {
   bool ok = true;
   /// Failures, each prefixed with the backend that produced it.
   std::vector<std::string> failures;
-  /// Per-backend digest, indexed like BackendKind (threads, tcp).
-  std::vector<std::string> digests;
 
   [[nodiscard]] std::string summary(std::size_t max_lines = 8) const;
 };

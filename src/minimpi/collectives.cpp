@@ -97,8 +97,11 @@ struct Comm::CoRecv {
   /// Posts the receive.  Issue stops at the routine's first receive even
   /// when it matched at once; later receives that match at once run on.
   bool await_suspend(detail::CollTask::Handle h) {
-    bool ready = false;
-    req = comm->post_recv(data, source, tag, /*internal=*/true, Staged, ready);
+    std::unique_lock<std::mutex> lock(comm->runtime_->mutex(),
+                                      std::defer_lock);
+    req = comm->post_recv(lock, data, source, tag, /*internal=*/true, Staged);
+    const bool ready = req->done;
+    lock.unlock();
     detail::CollectiveState& cs = *h.promise().state;
     if (ready && !cs.issuing) return false;
     cs.pending = req;
@@ -247,8 +250,7 @@ detail::CollTask Comm::bcast_tree(std::span<std::byte> data, int root,
   // (root stages a single copy; every hop forwards it by reference and
   // copies out into its own user buffer exactly once).  Inline-size
   // payloads skip the staging machinery.
-  const bool staged = runtime_->options().transport.zero_copy &&
-                      data.size() > detail::Payload::kMaxInline;
+  const bool staged = data.size() > detail::Payload::kMaxInline;
   detail::StagedBuffer blob;
 
   int mask = 1;

@@ -1,6 +1,9 @@
 // Point-to-point transport: the byte-level operations behind the typed API.
 //
-// Fast-path structure (all sim-neutral; see options.hpp TransportOptions):
+// Every send goes through Comm::transmit and every receive through
+// Comm::post_recv, and Runtime::match is the one place a message meets its
+// receive, whichever arrived first.  Fast-path structure (all
+// sim-neutral):
 //  - payloads are built OUTSIDE the runtime lock, in pooled buffers or the
 //    envelope's inline storage (no allocation for small eager messages);
 //  - blocking rendezvous senders lend their buffer to the envelope instead
@@ -29,19 +32,14 @@ namespace {
 /// Builds the payload for an outgoing message.  Called outside the runtime
 /// lock; the stats stream is the sender's own (only its thread writes it).
 detail::Payload build_payload(std::span<const std::byte> data, bool borrow_ok,
-                              const TransportOptions& topt,
                               detail::BufferPool& pool, CommStats& cs) {
   if (data.empty()) return {};
-  const std::size_t inline_cap =
-      std::min(topt.inline_threshold, detail::Payload::kMaxInline);
-  if (data.size() <= inline_cap) {
+  if (data.size() <= detail::Payload::kMaxInline) {
     ++cs.inline_messages;
     cs.copied_bytes += data.size();
     return detail::Payload::inline_copy(data);
   }
-  if (borrow_ok && topt.zero_copy) {
-    // Blocking rendezvous send: the sender's frame (and therefore `data`)
-    // stays alive until the receiver has consumed the bytes.
+  if (borrow_ok) {
     cs.zero_copy_bytes += data.size();
     return detail::Payload::borrowed_from(data);
   }
@@ -52,21 +50,13 @@ detail::Payload build_payload(std::span<const std::byte> data, bool borrow_ok,
   return detail::Payload::owned(std::move(buf), data);
 }
 
-/// Channel-introspection tallies (RuntimeOptions::record_channels).  The
-/// maps belong to the acting rank's own state, so no extra locking: senders
-/// tally under their own thread, receivers under theirs.
-void record_channel_sent(detail::RankState& st, bool enabled, int dest_world,
-                         std::size_t bytes) {
+/// Channel-introspection tally (RuntimeOptions::record_channels) into one
+/// of the acting rank's own maps, so no extra locking: senders tally under
+/// their own thread, receivers under theirs.
+void record_channel(std::unordered_map<int, detail::ChannelCount>& channels,
+                    bool enabled, int peer_world, std::size_t bytes) {
   if (!enabled) return;
-  detail::ChannelCount& c = st.channel_sent[dest_world];
-  c.bytes += bytes;
-  ++c.messages;
-}
-
-void record_channel_received(detail::RankState& st, bool enabled,
-                             int src_world, std::size_t bytes) {
-  if (!enabled) return;
-  detail::ChannelCount& c = st.channel_received[src_world];
+  detail::ChannelCount& c = channels[peer_world];
   c.bytes += bytes;
   ++c.messages;
 }
@@ -131,12 +121,15 @@ void Comm::sim_advance(double seconds) {
   }
 }
 
-void Comm::send_bytes(std::span<const std::byte> data, int dest, int tag,
-                      bool internal) {
-  validate_peer(dest, "send");
-  if (!internal) validate_user_tag(tag, "send");
+std::shared_ptr<detail::Envelope> Comm::transmit(
+    std::unique_lock<std::mutex>& lock, std::span<const std::byte> data,
+    const detail::StagedBuffer* staged, int dest, int tag, bool internal,
+    bool lend, const char* what) {
+  validate_peer(dest, what);
+  if (!internal) validate_user_tag(tag, what);
   const int wdest = to_world(dest);
   detail::RankState& st = state();
+  const RuntimeOptions& opts = runtime_->options();
 
   // Fault injection applies to user p2p traffic only; collective-internal
   // messages and reliable-delivery acknowledgements ride the lossless
@@ -144,39 +137,9 @@ void Comm::send_bytes(std::span<const std::byte> data, int dest, int tag,
   // not a fault fires, so the injected sequence depends only on (plan seed,
   // rank, message ordinal).
   detail::FaultDecision fault;
-  if (!internal && runtime_->options().faults.injects()) {
-    fault = detail::draw_fault(runtime_->options().faults, st.fault_rng);
+  if (!internal && opts.faults.injects()) {
+    fault = detail::draw_fault(opts.faults, st.fault_rng);
   }
-  const bool channels =
-      !internal && runtime_->options().record_channels;
-  // Observability: every user p2p message gets a world-unique edge id.
-  // Dropped messages allocate one too (the send event shows an edge no
-  // receive ever completes), so edge numbering is independent of the fault
-  // plan's outcomes.
-  obs::Recorder* const rec = internal ? nullptr : runtime_->recorder();
-  if (fault.drop) {
-    // The message vanishes on the wire.  The sender cannot tell: it pays
-    // the same local costs and counters as a delivered eager send.  A
-    // rendezvous-sized payload is lost fire-and-forget too — blocking on a
-    // handshake that can never happen would hang the sender by design.
-    ++st.stats.fault_drops;
-    st.stats.transport_bytes_sent += data.size();
-    ++st.stats.transport_messages_sent;
-    st.stats.p2p_bytes_sent += data.size();
-    ++st.stats.p2p_messages_sent;
-    record_channel_sent(st, channels, wdest, data.size());
-    if (rec != nullptr) st.last_tx_seq = rec->alloc_seq(world_rank_);
-    const double overhead = cost_model().send_overhead();
-    st.clock += overhead;
-    st.stats.sim_comm_seconds += overhead;
-    return;
-  }
-
-  // Collective-internal messages are always eager: real MPI collectives
-  // never deadlock, and the linear root loops must not serialize on
-  // rendezvous handshakes.
-  const bool rendezvous =
-      !internal && data.size() > runtime_->options().eager_threshold;
   auto env = runtime_->acquire_envelope();
   env->source = rank_;
   env->src_world = world_rank_;
@@ -184,38 +147,50 @@ void Comm::send_bytes(std::span<const std::byte> data, int dest, int tag,
   env->tag = tag;
   env->context = context_;
   env->internal = internal;
-  env->rendezvous = rendezvous;
-  if (rec != nullptr) {
+  // Observability: every user p2p message gets a world-unique edge id.
+  // Dropped messages allocate one too (the send event shows an edge no
+  // receive ever completes), so edge numbering is independent of the fault
+  // plan's outcomes.
+  if (obs::Recorder* rec = internal ? nullptr : runtime_->recorder()) {
     env->trace_seq = rec->alloc_seq(world_rank_);
     st.last_tx_seq = env->trace_seq;
   }
-  // Zero-copy borrowing is only sound when the receiver lives in this
-  // address space; across the tcp seam the borrow degrades to a copy
-  // (satellite of the backend work: fail safe, never dangle).
-  env->payload =
-      build_payload(data,
-                    /*borrow_ok=*/rendezvous && runtime_->backend_shares_memory(),
-                    runtime_->options().transport, runtime_->buffer_pool(),
-                    st.stats);
+  auto count_sent = [&] {
+    st.stats.transport_bytes_sent += data.size();
+    ++st.stats.transport_messages_sent;
+    if (internal) return;
+    st.stats.p2p_bytes_sent += data.size();
+    ++st.stats.p2p_messages_sent;
+    record_channel(st.channel_sent, opts.record_channels, wdest, data.size());
+  };
+  if (fault.drop) {
+    // The message vanishes on the wire.  The sender cannot tell: it pays
+    // the same local costs and counters as a delivered eager send.  A
+    // rendezvous-sized payload is lost fire-and-forget too — blocking on a
+    // handshake that can never happen would hang the sender by design.
+    ++st.stats.fault_drops;
+    count_sent();
+    env->matched = true;
+    lock.lock();
+    return env;
+  }
 
-  // A duplicated message is a spurious eager retransmission: its payload is
-  // an independent copy (never a borrow of the user's frame) and it never
-  // takes part in the rendezvous handshake.
-  std::shared_ptr<detail::Envelope> dup;
-  if (fault.duplicate) {
-    ++st.stats.fault_dups;
-    dup = runtime_->acquire_envelope();
-    dup->source = rank_;
-    dup->src_world = world_rank_;
-    dup->dest = wdest;
-    dup->tag = tag;
-    dup->context = context_;
-    dup->internal = internal;
-    dup->rendezvous = false;
-    dup->trace_seq = env->trace_seq;  // same logical message, same edge
-    dup->payload = build_payload(data, /*borrow_ok=*/false,
-                                 runtime_->options().transport,
-                                 runtime_->buffer_pool(), st.stats);
+  // Collective-internal messages are always eager: real MPI collectives
+  // never deadlock, and the linear root loops must not serialize on
+  // rendezvous handshakes.
+  env->rendezvous = !internal && data.size() > opts.eager_threshold;
+  if (staged != nullptr && staged->len != 0) {
+    // Every hop of a tree or ring forward references the same bytes; the
+    // buffer is never mutated once sent (collectives uphold that).
+    env->payload = detail::Payload::shared_view(*staged);
+    st.stats.zero_copy_bytes += staged->len;
+  } else {
+    // Only a blocking rendezvous sender may lend its frame, and only to a
+    // receiver in this address space: across the tcp seam the borrow
+    // degrades to a copy (fail safe, never dangle).
+    env->payload = build_payload(
+        data, lend && env->rendezvous && runtime_->backend_shares_memory(),
+        runtime_->buffer_pool(), st.stats);
   }
 
   // Simulated-timing fields are computed BEFORE the transport seam so they
@@ -223,248 +198,94 @@ void Comm::send_bytes(std::span<const std::byte> data, int dest, int tag,
   // on every backend.  No lock needed: st.clock is mutated only by this
   // thread and the cost model is immutable.
   const double alpha = cost_model().message_time(world_rank_, wdest, 0);
-  const double overhead = cost_model().send_overhead();
   env->arrival_head = st.clock + alpha + fault.delay;
   if (fault.delay > 0.0) ++st.stats.fault_delays;
   env->byte_time =
       cost_model().message_time(world_rank_, wdest, data.size()) - alpha;
-  if (dup) {
-    dup->arrival_head = env->arrival_head;
-    dup->byte_time = env->byte_time;
+
+  // A duplicated message is a spurious eager retransmission of the same
+  // logical message (same edge and timing): its payload is an independent
+  // copy, never a borrow of the user's frame, and it never takes part in
+  // the rendezvous handshake.
+  std::shared_ptr<detail::Envelope> dup;
+  if (fault.duplicate) {
+    ++st.stats.fault_dups;
+    dup = runtime_->acquire_envelope();
+    *dup = *env;
+    dup->rendezvous = false;
+    dup->payload = build_payload(data, /*borrow_ok=*/false,
+                                 runtime_->buffer_pool(), st.stats);
   }
+
   // Cross the transport seam (identity on the threads backend; a serialize/
   // round-trip/deserialize through the socket pair on tcp).
   env = runtime_->transport_envelope(std::move(env));
   if (dup) dup = runtime_->transport_envelope(std::move(dup));
 
-  std::unique_lock<std::mutex> lock(runtime_->mutex());
-  st.stats.transport_bytes_sent += data.size();
-  ++st.stats.transport_messages_sent;
-  if (!internal) {
-    st.stats.p2p_bytes_sent += data.size();
-    ++st.stats.p2p_messages_sent;
-  }
-  record_channel_sent(st, channels, wdest, data.size());
+  lock.lock();
+  count_sent();
   runtime_->deliver(lock, env);
   if (dup) {
     st.stats.transport_bytes_sent += data.size();
     ++st.stats.transport_messages_sent;
     runtime_->deliver(lock, dup);
   }
-  if (rendezvous) {
-    if (!env->matched) ++st.stats.rendezvous_stalls;
-    try {
-      runtime_->blocking_wait(lock, world_rank_, "Send (rendezvous)",
-                              [&env] { return env->matched; });
-    } catch (...) {
-      // The envelope may borrow this frame's `data`; make sure nobody can
-      // touch it after we unwind: drop it from the mailbox if still
-      // queued, or wait out a receiver's in-flight copy.
-      detail::Mailbox& mb = runtime_->mailbox(wdest);
-      if (!mb.unexpected.remove(env.get())) {
-        while (!env->matched) runtime_->condvar(world_rank_).wait(lock);
-      }
-      throw;
-    }
-    const double completion = std::max(st.clock, env->completion_time);
-    st.stats.sim_comm_seconds += completion - st.clock;
-    st.clock = completion;
-  } else {
+  return env;
+}
+
+void Comm::send_bytes(std::span<const std::byte> data, int dest, int tag,
+                      bool internal) {
+  std::unique_lock<std::mutex> lock(runtime_->mutex(), std::defer_lock);
+  const auto env = transmit(lock, data, nullptr, dest, tag, internal,
+                            /*lend=*/true, "send");
+  if (!env->rendezvous) {
     // The eager sender only pays its local injection overhead (LogP "o");
     // the wire latency is experienced by the receiver.
-    st.clock += overhead;
-    st.stats.sim_comm_seconds += overhead;
+    charge_comm(cost_model().send_overhead());
+    return;
   }
+  if (!env->matched) ++state().stats.rendezvous_stalls;
+  try {
+    runtime_->blocking_wait(lock, world_rank_, "Send (rendezvous)",
+                            [&env] { return env->matched; });
+  } catch (...) {
+    // The envelope may borrow this frame's `data`; make sure nobody can
+    // touch it after we unwind: drop it from the mailbox if still
+    // queued, or wait out a receiver's in-flight copy.
+    detail::Mailbox& mb = runtime_->mailbox(env->dest);
+    if (!mb.unexpected.remove(env.get())) {
+      while (!env->matched) runtime_->condvar(world_rank_).wait(lock);
+    }
+    throw;
+  }
+  charge_comm_until(env->completion_time);
 }
 
 Status Comm::recv_bytes(std::span<std::byte> data, int source, int tag,
                         bool internal) {
   if (source != kAnySource) validate_peer(source, "recv");
   if (!internal && tag != kAnyTag) validate_user_tag(tag, "recv");
-
-  std::unique_lock<std::mutex> lock(runtime_->mutex());
-  detail::RankState& st = state();
-  detail::Mailbox& mb = runtime_->mailbox(world_rank_);
-
-  // Fast path: a matching message already arrived.
-  if (auto m = mb.unexpected.find(source, tag, context_, internal)) {
-    const std::shared_ptr<detail::Envelope> env = m->handle();
-    if (env->payload.size() > data.size()) {
-      std::ostringstream os;
-      os << "message truncation: recv buffer holds " << data.size()
-         << " bytes but rank " << env->source << " sent "
-         << env->payload.size() << " bytes (tag " << env->tag << ")";
-      throw MpiError(os.str());  // message stays queued, as before
-    }
-    const Status status{env->source, env->tag, env->payload.size()};
-    const double completion =
-        std::max({st.clock, env->arrival_head, mb.link_busy_until}) +
-        env->byte_time;
-    mb.link_busy_until = completion;
-    env->completion_time = completion;
-    st.stats.sim_comm_seconds += completion - st.clock;
-    st.clock = completion;
-    if (!internal) {
-      st.stats.p2p_bytes_received += status.bytes;
-      ++st.stats.p2p_messages_received;
-      record_channel_received(st, runtime_->options().record_channels,
-                              env->src_world, status.bytes);
-      st.last_rx_seq = env->trace_seq;
-    }
-    st.stats.copied_bytes += status.bytes;
-    mb.unexpected.erase(*m);
-    runtime_->consume(lock, *env, data.data());
-    return status;
-  }
-
-  // Slow path: post the receive and block until a sender matches it.
-  auto req = std::make_shared<detail::RequestState>();
-  req->kind = detail::RequestState::Kind::kRecv;
-  req->buffer = data.data();
-  req->capacity = data.size();
-  req->source_filter = source;
-  req->tag_filter = tag;
-  req->context = context_;
-  req->internal = internal;
-  req->post_time = st.clock;
-  mb.posted.push_back(req);
-
-  try {
-    runtime_->blocking_wait(lock, world_rank_, "Recv",
-                            [&req] { return req->done; });
-  } catch (...) {
-    runtime_->retract(lock, world_rank_, req);  // keep `data` safe
-    throw;
-  }
-  if (!req->error.empty()) throw MpiError(req->error);
-  const double completion = std::max(st.clock, req->completion_time);
-  st.stats.sim_comm_seconds += completion - st.clock;
-  st.clock = completion;
-  if (!internal) {
-    st.stats.p2p_bytes_received += req->status.bytes;
-    ++st.stats.p2p_messages_received;
-    record_channel_received(st, runtime_->options().record_channels,
-                            req->src_world, req->status.bytes);
-    st.last_rx_seq = std::exchange(req->trace_seq, 0);
-  }
-  st.stats.copied_bytes += req->status.bytes;
-  return req->status;
+  std::unique_lock<std::mutex> lock(runtime_->mutex(), std::defer_lock);
+  return complete_recv(
+      lock, post_recv(lock, data, source, tag, internal, /*staged=*/false),
+      "Recv");
 }
 
 Request Comm::isend_bytes(std::span<const std::byte> data, int dest, int tag,
                           bool internal) {
-  validate_peer(dest, "isend");
-  if (!internal) validate_user_tag(tag, "isend");
-  const int wdest = to_world(dest);
-  detail::RankState& st = state();
-
-  // See send_bytes: user p2p traffic only, one draw per message.
-  detail::FaultDecision fault;
-  if (!internal && runtime_->options().faults.injects()) {
-    fault = detail::draw_fault(runtime_->options().faults, st.fault_rng);
-  }
-  const bool channels =
-      !internal && runtime_->options().record_channels;
-  obs::Recorder* const rec = internal ? nullptr : runtime_->recorder();
-  if (fault.drop) {
-    ++st.stats.fault_drops;
-    st.stats.transport_bytes_sent += data.size();
-    ++st.stats.transport_messages_sent;
-    st.stats.p2p_bytes_sent += data.size();
-    ++st.stats.p2p_messages_sent;
-    record_channel_sent(st, channels, wdest, data.size());
-    if (rec != nullptr) st.last_tx_seq = rec->alloc_seq(world_rank_);
-    // The request completes immediately (the sender cannot distinguish a
-    // dropped eager message); the envelope exists only so that wait()/test()
-    // can dereference it, and is marked matched so nothing ever waits on it.
-    auto dropped = std::make_shared<detail::RequestState>();
-    dropped->kind = detail::RequestState::Kind::kSend;
-    dropped->envelope = runtime_->acquire_envelope();
-    dropped->envelope->rendezvous = false;
-    dropped->envelope->matched = true;
-    st.clock += cost_model().send_overhead();
-    st.stats.sim_comm_seconds += cost_model().send_overhead();
-    dropped->done = true;
-    dropped->completion_time = st.clock;
-    return Request(dropped);
-  }
-
-  const bool rendezvous =
-      !internal && data.size() > runtime_->options().eager_threshold;
-  auto env = runtime_->acquire_envelope();
-  env->source = rank_;
-  env->src_world = world_rank_;
-  env->dest = wdest;
-  env->tag = tag;
-  env->context = context_;
-  env->internal = internal;
-  env->rendezvous = rendezvous;
-  if (rec != nullptr) {
-    env->trace_seq = rec->alloc_seq(world_rank_);
-    st.last_tx_seq = env->trace_seq;
-  }
-  // Isend returns immediately, so the payload can never borrow the user's
+  // Isend returns immediately, so the payload never borrows the user's
   // buffer (the sender may mutate it before the receiver matches).
-  env->payload = build_payload(data, /*borrow_ok=*/false,
-                               runtime_->options().transport,
-                               runtime_->buffer_pool(), st.stats);
-
-  std::shared_ptr<detail::Envelope> dup;
-  if (fault.duplicate) {
-    ++st.stats.fault_dups;
-    dup = runtime_->acquire_envelope();
-    dup->source = rank_;
-    dup->src_world = world_rank_;
-    dup->dest = wdest;
-    dup->tag = tag;
-    dup->context = context_;
-    dup->internal = internal;
-    dup->rendezvous = false;
-    dup->trace_seq = env->trace_seq;  // same logical message, same edge
-    dup->payload = build_payload(data, /*borrow_ok=*/false,
-                                 runtime_->options().transport,
-                                 runtime_->buffer_pool(), st.stats);
-  }
-
-  // Timing before the seam, seam before the lock (see send_bytes).
-  const double alpha = cost_model().message_time(world_rank_, wdest, 0);
-  env->arrival_head = st.clock + alpha + fault.delay;
-  if (fault.delay > 0.0) ++st.stats.fault_delays;
-  env->byte_time =
-      cost_model().message_time(world_rank_, wdest, data.size()) - alpha;
-  if (dup) {
-    dup->arrival_head = env->arrival_head;
-    dup->byte_time = env->byte_time;
-  }
-  env = runtime_->transport_envelope(std::move(env));
-  if (dup) dup = runtime_->transport_envelope(std::move(dup));
-
-  // wait()/test() track the envelope that was actually delivered.
+  std::unique_lock<std::mutex> lock(runtime_->mutex(), std::defer_lock);
   auto req = std::make_shared<detail::RequestState>();
   req->kind = detail::RequestState::Kind::kSend;
-  req->envelope = env;
-
-  std::unique_lock<std::mutex> lock(runtime_->mutex());
-  st.stats.transport_bytes_sent += data.size();
-  ++st.stats.transport_messages_sent;
-  if (!internal) {
-    st.stats.p2p_bytes_sent += data.size();
-    ++st.stats.p2p_messages_sent;
-  }
-  record_channel_sent(st, channels, wdest, data.size());
-  runtime_->deliver(lock, env);
-  if (dup) {
-    st.stats.transport_bytes_sent += data.size();
-    ++st.stats.transport_messages_sent;
-    runtime_->deliver(lock, dup);
-  }
+  req->envelope = transmit(lock, data, nullptr, dest, tag, internal,
+                           /*lend=*/false, "isend");
   // The non-blocking send itself only pays injection overhead; a rendezvous
   // Isend defers the synchronization to wait().
-  st.clock += cost_model().send_overhead();
-  st.stats.sim_comm_seconds += cost_model().send_overhead();
-  if (!rendezvous) {
+  charge_comm(cost_model().send_overhead());
+  if (!req->envelope->rendezvous) {
     req->done = true;
-    req->completion_time = st.clock;
+    req->completion_time = state().clock;
   }
   return Request(req);
 }
@@ -473,19 +294,15 @@ Request Comm::irecv_bytes(std::span<std::byte> data, int source, int tag,
                           bool internal) {
   if (source != kAnySource) validate_peer(source, "irecv");
   if (!internal && tag != kAnyTag) validate_user_tag(tag, "irecv");
-  bool ready = false;
-  auto req = post_recv(data, source, tag, internal, /*staged=*/false, ready);
-  if (ready && req->error.empty()) {
-    state().stats.copied_bytes += req->status.bytes;
-  }
-  return Request(req);
+  std::unique_lock<std::mutex> lock(runtime_->mutex(), std::defer_lock);
+  return Request(
+      post_recv(lock, data, source, tag, internal, /*staged=*/false));
 }
 
 std::shared_ptr<detail::RequestState> Comm::post_recv(
-    std::span<std::byte> data, int source, int tag, bool internal,
-    bool staged, bool& ready) {
+    std::unique_lock<std::mutex>& lock, std::span<std::byte> data,
+    int source, int tag, bool internal, bool staged) {
   auto req = std::make_shared<detail::RequestState>();
-  req->kind = detail::RequestState::Kind::kRecv;
   req->buffer = data.data();
   req->capacity =
       staged ? std::numeric_limits<std::size_t>::max() : data.size();
@@ -494,71 +311,60 @@ std::shared_ptr<detail::RequestState> Comm::post_recv(
   req->tag_filter = tag;
   req->context = context_;
   req->internal = internal;
+  req->post_time = state().clock;
 
-  std::unique_lock<std::mutex> lock(runtime_->mutex());
-  detail::RankState& st = state();
-  req->post_time = st.clock;
+  lock.lock();
   detail::Mailbox& mb = runtime_->mailbox(world_rank_);
-  ready = true;
-  if (auto m = mb.unexpected.find(source, tag, context_, internal)) {
-    const std::shared_ptr<detail::Envelope> env = m->handle();
-    req->status = Status{env->source, env->tag, env->payload.size()};
-    req->src_world = env->src_world;
-    const double completion =
-        std::max({req->post_time, env->arrival_head, mb.link_busy_until}) +
-        env->byte_time;
-    mb.link_busy_until = completion;
-    req->completion_time = completion;
-    env->completion_time = completion;
-    mb.unexpected.erase(*m);
-    if (env->payload.size() > req->capacity) {
-      std::ostringstream os;
-      os << "message truncation: irecv buffer holds " << req->capacity
-         << " bytes but rank " << env->source << " sent "
-         << env->payload.size() << " bytes (tag " << env->tag << ")";
-      req->error = os.str();
-      runtime_->consume(lock, *env, nullptr);
-      req->done = true;
-      return req;
-    }
-    // The receive completed at post, so the posting operation's own trace
-    // event carries the edge (a later wait finds req->trace_seq consumed).
-    if (!internal) st.last_rx_seq = env->trace_seq;
-    if (staged) {
-      // Adopt a shared payload without copying, else park a pooled copy.
-      if (env->payload.size() == 0) {
-        // empty message
-      } else if (runtime_->options().transport.zero_copy &&
-                 env->payload.shareable()) {
-        req->staged = env->payload.share();
-        req->staged_shared = true;
-      } else {
-        bool hit = false;
-        detail::Buffer buf =
-            runtime_->buffer_pool().acquire(env->payload.size(), &hit);
-        ++(hit ? st.stats.pool_hits : st.stats.pool_misses);
-        env->payload.copy_to(buf->data());
-        req->staged =
-            detail::StagedBuffer{std::move(buf), 0, env->payload.size()};
-      }
-    }
-    runtime_->consume(lock, *env, staged ? nullptr : req->buffer);
-    req->done = true;
+  const auto m = mb.unexpected.find(source, tag, context_, internal);
+  if (!m) {
+    mb.posted.push_back(req);
     return req;
   }
-  mb.posted.push_back(req);
-  ready = false;
+  const std::shared_ptr<detail::Envelope> env = m->handle();
+  mb.unexpected.erase(*m);
+  runtime_->match(lock, *req, *env);
+  // The receive completed at post, so the posting operation's own trace
+  // event carries the edge (a later wait finds req->trace_seq consumed).
+  if (!internal && req->error.empty()) {
+    state().last_rx_seq = std::exchange(req->trace_seq, 0);
+  }
   return req;
 }
 
-Status Comm::finish_recv(const detail::RequestState& rs) {
+Status Comm::complete_recv(std::unique_lock<std::mutex>& lock,
+                           const std::shared_ptr<detail::RequestState>& req,
+                           const char* what) {
+  if (!req->done) {
+    try {
+      runtime_->blocking_wait(lock, world_rank_, what,
+                              [&req] { return req->done; });
+    } catch (...) {
+      runtime_->retract(lock, world_rank_, req);  // keep the buffer safe
+      throw;
+    }
+  }
+  return finish_recv(*req);
+}
+
+Status Comm::finish_recv(detail::RequestState& rs) {
   if (!rs.error.empty()) throw MpiError(rs.error);
+  charge_comm_until(rs.completion_time);
+  if (std::exchange(rs.consumed, true)) return rs.status;
   detail::RankState& st = state();
-  const double completion = std::max(st.clock, rs.completion_time);
-  st.stats.sim_comm_seconds += completion - st.clock;
-  st.clock = completion;
   (rs.staged_shared ? st.stats.zero_copy_bytes : st.stats.copied_bytes) +=
       rs.status.bytes;
+  if (rs.staged.storage != nullptr && !rs.staged_shared) {
+    ++(rs.staged_pool_hit ? st.stats.pool_hits : st.stats.pool_misses);
+  }
+  if (!rs.internal) {
+    st.stats.p2p_bytes_received += rs.status.bytes;
+    ++st.stats.p2p_messages_received;
+    record_channel(st.channel_received, runtime_->options().record_channels,
+                   rs.src_world, rs.status.bytes);
+    // Hand the matched message's edge to the completing operation's trace
+    // event (zero when the receive matched at post and its event took it).
+    if (rs.trace_seq != 0) st.last_rx_seq = std::exchange(rs.trace_seq, 0);
+  }
   return rs.status;
 }
 
@@ -580,48 +386,13 @@ detail::StagedBuffer Comm::stage_copy(std::span<const std::byte> src) {
 }
 
 void Comm::send_staged(const detail::StagedBuffer& data, int dest, int tag) {
-  validate_peer(dest, "send");
-  const int wdest = to_world(dest);
-  detail::RankState& st = state();
-  const TransportOptions& topt = runtime_->options().transport;
-  auto env = runtime_->acquire_envelope();
-  env->source = rank_;
-  env->src_world = world_rank_;
-  env->dest = wdest;
-  env->tag = tag;
-  env->context = context_;
-  env->internal = true;   // staged traffic is collective-internal
-  env->rendezvous = false;  // and therefore always eager
-  if (data.len == 0) {
-    // empty payload
-  } else if (topt.zero_copy && data.storage) {
-    // Share the staging buffer into the envelope: every hop of a tree or
-    // ring forward references the same bytes.  The buffer must not be
-    // mutated after this point (collectives uphold that discipline).
-    env->payload = detail::Payload::shared_view(data);
-    st.stats.zero_copy_bytes += data.len;
-  } else {
-    env->payload = build_payload(data.view(), /*borrow_ok=*/false, topt,
-                                 runtime_->buffer_pool(), st.stats);
-  }
-
-  // Timing before the seam, seam before the lock (see send_bytes).  A
-  // shared staging buffer crossing the tcp seam is flattened into the
-  // frame by serialization — the refcounted buffer stays valid throughout,
-  // so sharing into the envelope is safe on every backend.
-  const double alpha = cost_model().message_time(world_rank_, wdest, 0);
-  const double overhead = cost_model().send_overhead();
-  env->arrival_head = st.clock + alpha;
-  env->byte_time =
-      cost_model().message_time(world_rank_, wdest, data.len) - alpha;
-  env = runtime_->transport_envelope(std::move(env));
-
-  std::unique_lock<std::mutex> lock(runtime_->mutex());
-  st.stats.transport_bytes_sent += data.len;
-  ++st.stats.transport_messages_sent;
-  runtime_->deliver(lock, env);
-  st.clock += overhead;
-  st.stats.sim_comm_seconds += overhead;
+  // Staged traffic is collective-internal, and therefore eager.  A shared
+  // staging buffer crossing the tcp seam is flattened into the frame; the
+  // refcounted buffer stays valid throughout.
+  std::unique_lock<std::mutex> lock(runtime_->mutex(), std::defer_lock);
+  transmit(lock, data.view(), &data, dest, tag, /*internal=*/true,
+           /*lend=*/false, "send");
+  charge_comm(cost_model().send_overhead());
 }
 
 void Comm::trace_end(Primitive op, int peer, int tag, std::size_t bytes,
@@ -733,48 +504,20 @@ Status Comm::wait_nocount(Request& request) {
     advance(*request.coll_, /*blocking=*/true);
     return request.coll_->status;
   }
-  auto rs = request.state_;
-
+  const auto rs = request.state_;
   std::unique_lock<std::mutex> lock(runtime_->mutex());
-  detail::RankState& st = state();
-  if (rs->kind == detail::RequestState::Kind::kSend) {
+  if (rs->kind == detail::RequestState::Kind::kRecv) {
+    return complete_recv(lock, rs, "Wait (Irecv)");
+  }
+  if (!rs->done) {  // a rendezvous Isend
     const auto& env = rs->envelope;
-    if (env->rendezvous && !rs->done) {
-      runtime_->blocking_wait(lock, world_rank_, "Wait (Isend rendezvous)",
-                              [&env] { return env->matched; });
-      rs->done = true;
-      rs->completion_time = env->completion_time;
-    }
-    const double completion = std::max(st.clock, rs->completion_time);
-    st.stats.sim_comm_seconds += completion - st.clock;
-    st.clock = completion;
-    return Status{};
+    runtime_->blocking_wait(lock, world_rank_, "Wait (Isend rendezvous)",
+                            [&env] { return env->matched; });
+    rs->done = true;
+    rs->completion_time = env->completion_time;
   }
-
-  try {
-    runtime_->blocking_wait(lock, world_rank_, "Wait (Irecv)",
-                            [&rs] { return rs->done; });
-  } catch (...) {
-    runtime_->retract(lock, world_rank_, rs);
-    throw;
-  }
-  if (!rs->error.empty()) throw MpiError(rs->error);
-  const double completion = std::max(st.clock, rs->completion_time);
-  st.stats.sim_comm_seconds += completion - st.clock;
-  st.clock = completion;
-  if (!rs->internal && !rs->consumed) {
-    st.stats.p2p_bytes_received += rs->status.bytes;
-    ++st.stats.p2p_messages_received;
-    record_channel_received(st, runtime_->options().record_channels,
-                            rs->src_world, rs->status.bytes);
-    // Hand the matched message's edge to the completing operation's trace
-    // event (zero when the irecv fast path already consumed it).
-    if (rs->trace_seq != 0) {
-      st.last_rx_seq = std::exchange(rs->trace_seq, 0);
-    }
-  }
-  rs->consumed = true;
-  return rs->status;
+  charge_comm_until(rs->completion_time);
+  return Status{};
 }
 
 std::size_t Comm::wait_any(std::span<Request> requests, Status* status) {
@@ -832,7 +575,6 @@ Status Comm::probe(int source, int tag) {
   if (tag != kAnyTag) validate_user_tag(tag, "probe");
 
   std::unique_lock<std::mutex> lock(runtime_->mutex());
-  detail::RankState& st = state();
   detail::Mailbox& mb = runtime_->mailbox(world_rank_);
   const detail::Envelope* found = nullptr;
   auto find_match = [&]() -> bool {
@@ -846,9 +588,7 @@ Status Comm::probe(int source, int tag) {
   runtime_->blocking_wait(lock, world_rank_, "Probe", find_match);
   // Probing reveals the envelope metadata once the message head arrives;
   // the payload itself is ingested by the subsequent receive.
-  const double completion = std::max(st.clock, found->arrival_head);
-  st.stats.sim_comm_seconds += completion - st.clock;
-  st.clock = completion;
+  charge_comm_until(found->arrival_head);
   lock.unlock();
   trace_end(Primitive::kProbe, found->source, found->tag,
             found->payload.size(), t_begin);
@@ -909,7 +649,7 @@ void Comm::send_reliable_bytes(std::span<const std::byte> data, int dest,
       detail::ReliableHeader ack{};
       const bool got = recv_ack_timeout(
           std::as_writable_bytes(std::span<detail::ReliableHeader>(&ack, 1)),
-          dest, detail::kReliableAckTag, nullptr);
+          dest, detail::kReliableAckTag);
       if (!got) break;  // provably lost: retransmit
       if (ack.seq == seq) return;
       // A stale acknowledgement for an earlier frame (its duplicate was
@@ -964,47 +704,13 @@ Status Comm::recv_reliable_bytes(std::span<std::byte> data, int source,
   }
 }
 
-bool Comm::recv_ack_timeout(std::span<std::byte> data, int source, int tag,
-                            Status* status) {
-  std::unique_lock<std::mutex> lock(runtime_->mutex());
-  detail::RankState& st = state();
-  detail::Mailbox& mb = runtime_->mailbox(world_rank_);
-  const ReliableOptions& ro = runtime_->options().reliable;
-
-  // Fast path: the acknowledgement already arrived.  Acks are 8 bytes, so
-  // the copy always happens under the lock.
-  if (auto m = mb.unexpected.find(source, tag, context_, /*internal=*/true)) {
-    const std::shared_ptr<detail::Envelope> env = m->handle();
-    if (env->payload.size() > data.size()) {
-      throw MpiError("reliable delivery: oversized acknowledgement frame");
-    }
-    const Status stt{env->source, env->tag, env->payload.size()};
-    // The ack bypasses the ingress link (detail::is_reliable_ack).
-    const double completion =
-        std::max(st.clock, env->arrival_head) + env->byte_time;
-    env->completion_time = completion;
-    st.stats.sim_comm_seconds += completion - st.clock;
-    st.clock = completion;
-    st.stats.copied_bytes += stt.bytes;
-    mb.unexpected.erase(*m);
-    runtime_->consume(lock, *env, data.data());
-    if (status != nullptr) *status = stt;
-    return true;
-  }
-
-  // Slow path: post the receive, but let the wait expire when the runtime
-  // proves the whole world is stalled (the ack provably cannot arrive).
-  auto req = std::make_shared<detail::RequestState>();
-  req->kind = detail::RequestState::Kind::kRecv;
-  req->buffer = data.data();
-  req->capacity = data.size();
-  req->source_filter = source;
-  req->tag_filter = tag;
-  req->context = context_;
-  req->internal = true;
-  req->post_time = st.clock;
-  mb.posted.push_back(req);
-
+bool Comm::recv_ack_timeout(std::span<std::byte> data, int source,
+                            int tag) {
+  std::unique_lock<std::mutex> lock(runtime_->mutex(), std::defer_lock);
+  const auto req =
+      post_recv(lock, data, source, tag, /*internal=*/true, /*staged=*/false);
+  // Let the wait expire when the runtime proves the whole world is stalled
+  // (the ack provably cannot arrive).
   detail_runtime::Runtime::WaitOutcome outcome;
   try {
     outcome = runtime_->blocking_wait_for(
@@ -1020,17 +726,11 @@ bool Comm::recv_ack_timeout(std::span<std::byte> data, int source, int tag,
     runtime_->retract(lock, world_rank_, req);
   }
   if (!req->done) {
-    st.clock += ro.timeout_seconds;
-    st.stats.sim_comm_seconds += ro.timeout_seconds;
-    ++st.stats.reliable_timeouts;
+    charge_comm(runtime_->options().reliable.timeout_seconds);
+    ++state().stats.reliable_timeouts;
     return false;
   }
-  if (!req->error.empty()) throw MpiError(req->error);
-  const double completion = std::max(st.clock, req->completion_time);
-  st.stats.sim_comm_seconds += completion - st.clock;
-  st.clock = completion;
-  st.stats.copied_bytes += req->status.bytes;
-  if (status != nullptr) *status = req->status;
+  finish_recv(*req);
   return true;
 }
 

@@ -6,9 +6,11 @@
 // with MPI datatypes over contiguous buffers).
 #pragma once
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -628,7 +630,32 @@ class Comm {
   void trace_end(Primitive op, int peer, int tag, std::size_t bytes,
                  const TraceStart& t0);
 
-  // Byte-level transport (comm.cpp).
+  /// Moves this rank's clock forward by `dt`, or to `t` if that is later,
+  /// charging the step as communication time.
+  void charge_comm(double dt) {
+    state().clock += dt;
+    state().stats.sim_comm_seconds += dt;
+  }
+  void charge_comm_until(double t) {
+    detail::RankState& st = state();
+    const double completion = std::max(st.clock, t);
+    st.stats.sim_comm_seconds += completion - st.clock;
+    st.clock = completion;
+  }
+
+  // Byte-level transport (comm.cpp).  Every send goes through transmit and
+  // every receive through post_recv and finish_recv; `lock` (on the
+  // runtime mutex, not yet held) is held when either returns.
+  /// Puts one message on the wire: fault draw, envelope, duplicate,
+  /// simulated timing, the backend seam, the sender's counters and
+  /// Runtime::deliver.  `staged` (collective internals only) is the buffer
+  /// `data` views, shared by reference; `lend` lets a blocking rendezvous
+  /// send lend `data` itself.  A dropped message comes back as an eager
+  /// envelope already marked matched.
+  std::shared_ptr<detail::Envelope> transmit(
+      std::unique_lock<std::mutex>& lock, std::span<const std::byte> data,
+      const detail::StagedBuffer* staged, int dest, int tag, bool internal,
+      bool lend, const char* what);
   void send_bytes(std::span<const std::byte> data, int dest, int tag,
                   bool internal);
   Status recv_bytes(std::span<std::byte> data, int source, int tag,
@@ -647,8 +674,7 @@ class Comm {
   /// Receives an 8-byte acknowledgement header on the control channel, or
   /// gives up when the runtime proves it cannot arrive.  Returns false on
   /// timeout (the simulated clock is charged ReliableOptions::timeout_seconds).
-  bool recv_ack_timeout(std::span<std::byte> data, int source, int tag,
-                        Status* status);
+  bool recv_ack_timeout(std::span<std::byte> data, int source, int tag);
   /// Kill-plan hook: throws RankFailedError when this rank reaches the
   /// fault plan's kill_at_call-th primitive call.
   void fault_tick(Primitive p);
@@ -656,22 +682,25 @@ class Comm {
   // Zero-copy staging primitives for collective internals (comm.cpp).
   // StagedBuffers ride the normal envelope path — same tags, sizes and
   // simulated costs as plain sends — but the payload travels as a shared
-  // pooled buffer that every hop references instead of copying (when
-  // TransportOptions::zero_copy allows; otherwise they degrade to copies).
+  // pooled buffer that every hop references instead of copying (the tcp
+  // seam flattens it into the frame).
   detail::StagedBuffer stage_acquire(std::size_t n);
   detail::StagedBuffer stage_copy(std::span<const std::byte> src);
   void send_staged(const detail::StagedBuffer& data, int dest, int tag);
   // (Staged receives are co_recv_staged, below.)
 
-  // Receive halves shared by irecv and the collective engine (comm.cpp).
-  // post_recv matches an already-queued message at once (`ready`) or posts
-  // the receive; finish_recv adopts a completed internal receive's clock
-  // and copy counters, throwing on a truncation error.
-  std::shared_ptr<detail::RequestState> post_recv(std::span<std::byte> data,
-                                                  int source, int tag,
-                                                  bool internal, bool staged,
-                                                  bool& ready);
-  Status finish_recv(const detail::RequestState& rs);
+  // Receive halves shared by recv, irecv, the reliable-ack wait and the
+  // collective engine (comm.cpp).  post_recv matches an already-queued
+  // message at once (the request comes back done) or posts the receive;
+  // complete_recv blocks until it is done; finish_recv adopts a completed
+  // receive's clock and counters once, throwing on a truncation error.
+  std::shared_ptr<detail::RequestState> post_recv(
+      std::unique_lock<std::mutex>& lock, std::span<std::byte> data,
+      int source, int tag, bool internal, bool staged);
+  Status complete_recv(std::unique_lock<std::mutex>& lock,
+                       const std::shared_ptr<detail::RequestState>& req,
+                       const char* what);
+  Status finish_recv(detail::RequestState& rs);
 
   void count_algo(CollectiveAlgo a) {
     ++state().stats.algo_uses[static_cast<std::size_t>(a)];

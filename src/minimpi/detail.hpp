@@ -210,11 +210,12 @@ struct RequestState {
   bool copy_in_flight = false;
 
   // Staged-receive fields (collective-internal zero-copy path): when
-  // `want_staged`, the matching sender parks the payload here — a shared
-  // view when the payload is a heap buffer and zero-copy is on, a pooled
-  // copy otherwise — instead of copying into `buffer`.
+  // `want_staged`, Runtime::match parks the payload here — a shared view
+  // of a heap payload, a pooled copy of an inline one — instead of
+  // copying into `buffer`.
   bool want_staged = false;
   bool staged_shared = false;  // true when adopted without a copy
+  bool staged_pool_hit = false;  // the pooled copy reused a buffer
   StagedBuffer staged;
 
   // Send fields.

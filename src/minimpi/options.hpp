@@ -97,26 +97,6 @@ struct ReliableOptions {
   double timeout_seconds = 1e-3;
 };
 
-/// Transport fast-path tuning.  None of these settings change simulated
-/// results — they only control how much real-world work (allocation,
-/// memcpy) the transport performs per message, and are toggleable exactly
-/// so tests can prove sim-neutrality by comparing runs bit-for-bit.
-struct TransportOptions {
-  /// Payloads of at most this many bytes are stored inline in the pooled
-  /// envelope (no payload buffer at all).  Clamped to
-  /// detail::Payload::kMaxInline (256).
-  std::size_t inline_threshold = 256;
-
-  /// Recycle payload buffers and envelopes through freelists instead of
-  /// allocating per message.
-  bool pooling = true;
-
-  /// Allow zero-copy payload handoff: blocking rendezvous senders lend
-  /// their buffer to the envelope, and collective-internal receivers adopt
-  /// shared payload buffers instead of copying them out.
-  bool zero_copy = true;
-};
-
 /// Per-collective algorithm override.  kAuto picks by communicator size
 /// and payload volume under the simulator's cost model (see the thresholds
 /// in CollectiveOptions); the specific values force one algorithm where it
@@ -194,9 +174,6 @@ struct RuntimeOptions {
   /// fuzzer checks "bytes sent == bytes received per channel" against.  Off
   /// by default: fault-free runs stay bit-identical to earlier builds.
   bool record_channels = false;
-
-  /// Transport fast-path tuning (sim-neutral).
-  TransportOptions transport{};
 
   /// Collective algorithm selection (changes simulated message patterns).
   CollectiveOptions collectives{};

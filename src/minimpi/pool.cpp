@@ -20,7 +20,7 @@ std::size_t BufferPool::class_of(std::size_t n) {
 }
 
 /// Deleter of pooled buffers: holds the pool alive and hands the storage
-/// back (or frees it when the pool is full/disabled).
+/// back (or frees it when the pool is full).
 struct BufferPool::Returner {
   std::shared_ptr<BufferPool> pool;
   void operator()(std::vector<std::byte>* buf) const { pool->release(buf); }
@@ -30,7 +30,7 @@ Buffer BufferPool::acquire(std::size_t n, bool* pool_hit) {
   if (pool_hit != nullptr) *pool_hit = false;
   if (n == 0) n = 1;  // keep data() valid for zero-length staging
   const std::size_t cls = class_of(n);
-  if (enabled_ && cls < kClassCount) {
+  if (cls < kClassCount) {
     std::unique_lock<std::mutex> lock(mu_);
     auto& slot = free_[cls];
     if (!slot.empty()) {
@@ -46,10 +46,7 @@ Buffer BufferPool::acquire(std::size_t n, bool* pool_hit) {
   // request of the same class later.  The one-time value-initialisation is
   // paid here; recycled buffers are never cleared again.
   auto* buf = new std::vector<std::byte>(round_up_pow2(n));
-  if (enabled_) {
-    return Buffer(buf, Returner{shared_from_this()});
-  }
-  return Buffer(buf);
+  return Buffer(buf, Returner{shared_from_this()});
 }
 
 void BufferPool::release(std::vector<std::byte>* buf) {
@@ -72,19 +69,17 @@ EnvelopePool::~EnvelopePool() {
 }
 
 std::shared_ptr<Envelope> EnvelopePool::acquire() {
-  if (enabled_) {
+  Envelope* env = nullptr;
+  {
     std::lock_guard<std::mutex> lock(mu_);
     if (!free_.empty()) {
-      Envelope* env = free_.back();
+      env = free_.back();
       free_.pop_back();
-      auto self = shared_from_this();
-      return std::shared_ptr<Envelope>(
-          env, [self](Envelope* e) { self->release(e); });
     }
   }
-  if (!enabled_) return std::make_shared<Envelope>();
+  if (env == nullptr) env = new Envelope();
   auto self = shared_from_this();
-  return std::shared_ptr<Envelope>(new Envelope(),
+  return std::shared_ptr<Envelope>(env,
                                    [self](Envelope* e) { self->release(e); });
 }
 

@@ -54,12 +54,9 @@ struct StagedBuffer {
 
 /// Power-of-two size-class freelist for payload buffers.  acquire() returns
 /// a buffer whose size() is at least the requested byte count; when the
-/// last reference dies the buffer returns to the pool.  Disabled pools
-/// simply allocate (used to reproduce the pre-pool baseline in benches).
+/// last reference dies the buffer returns to the pool.
 class BufferPool : public std::enable_shared_from_this<BufferPool> {
  public:
-  explicit BufferPool(bool enabled) : enabled_(enabled) {}
-
   /// Buffer with size() >= n.  `*pool_hit` (optional) reports whether the
   /// storage was recycled rather than freshly allocated.
   Buffer acquire(std::size_t n, bool* pool_hit = nullptr);
@@ -79,7 +76,6 @@ class BufferPool : public std::enable_shared_from_this<BufferPool> {
              kClassCount>
       free_;
   std::size_t pooled_bytes_ = 0;
-  bool enabled_;
 };
 
 struct Envelope;
@@ -89,7 +85,7 @@ struct Envelope;
 /// buffer back into the BufferPool) and parks the object for reuse.
 class EnvelopePool : public std::enable_shared_from_this<EnvelopePool> {
  public:
-  explicit EnvelopePool(bool enabled) : enabled_(enabled) {}
+  EnvelopePool() = default;
   ~EnvelopePool();
 
   EnvelopePool(const EnvelopePool&) = delete;
@@ -104,7 +100,6 @@ class EnvelopePool : public std::enable_shared_from_this<EnvelopePool> {
 
   std::mutex mu_;
   std::vector<Envelope*> free_;
-  bool enabled_;
 };
 
 }  // namespace dipdc::minimpi::detail

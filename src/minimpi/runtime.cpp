@@ -49,10 +49,8 @@ Runtime::Runtime(int nranks, RuntimeOptions options)
       cost_(make_cost_model(options_, nranks)),
       nranks_(nranks),
       alive_(nranks),
-      buffer_pool_(
-          std::make_shared<detail::BufferPool>(options_.transport.pooling)),
-      envelope_pool_(
-          std::make_shared<detail::EnvelopePool>(options_.transport.pooling)),
+      buffer_pool_(std::make_shared<detail::BufferPool>()),
+      envelope_pool_(std::make_shared<detail::EnvelopePool>()),
       mailboxes_(static_cast<std::size_t>(nranks)),
       rank_states_(static_cast<std::size_t>(nranks)),
       life_(static_cast<std::size_t>(nranks), RankLife::kRunning) {
@@ -106,86 +104,75 @@ std::shared_ptr<detail::Envelope> Runtime::transport_envelope(
 void Runtime::deliver(std::unique_lock<std::mutex>& lock,
                       const std::shared_ptr<detail::Envelope>& env) {
   detail::Mailbox& mb = mailbox(env->dest);
-  for (auto it = mb.posted.begin(); it != mb.posted.end(); ++it) {
-    const std::shared_ptr<detail::RequestState> req = *it;
-    if (!detail::filters_match(req->source_filter, req->tag_filter,
-                               req->context, req->internal, *env)) {
-      continue;
-    }
-    req->status = Status{env->source, env->tag, env->payload.size()};
-    req->src_world = env->src_world;
-    req->trace_seq = env->trace_seq;
-    // Receiver-side link serialization: the payload streams in only after
-    // the receive is posted, the head arrives, and the ingress link is
-    // free from earlier messages (acks bypass the link).
-    const bool ack = detail::is_reliable_ack(*env);
-    const double start =
-        ack ? std::max(req->post_time, env->arrival_head)
-            : std::max({req->post_time, env->arrival_head,
-                        mb.link_busy_until});
-    const double completion = start + env->byte_time;
-    if (!ack) mb.link_busy_until = completion;
-    req->completion_time = completion;
-    env->completion_time = completion;
-    mb.posted.erase(it);
-
-    if (req->want_staged) {
-      // Collective-internal staged receive: adopt the shared payload
-      // buffer when allowed, otherwise park a pooled copy.  Non-shareable
-      // internal payloads are inline (<= Payload::kMaxInline bytes), so
-      // the fallback copy under the lock is cheap.
-      if (options_.transport.zero_copy && env->payload.shareable()) {
-        req->staged = env->payload.share();
-        req->staged_shared = true;
-      } else if (env->payload.size() > 0) {
-        detail::Buffer buf =
-            buffer_pool_->acquire(env->payload.size(), nullptr);
-        env->payload.copy_to(buf->data());
-        req->staged =
-            detail::StagedBuffer{std::move(buf), 0, env->payload.size()};
-      }
-    } else if (env->payload.size() > req->capacity) {
-      std::ostringstream os;
-      os << "message truncation: rank " << env->dest << " posted a "
-         << req->capacity << "-byte receive but rank " << env->source
-         << " sent " << env->payload.size() << " bytes (tag " << env->tag
-         << ")";
-      req->error = os.str();
-    } else if (env->payload.size() <= detail::kLockedCopyMax) {
-      env->payload.copy_to(req->buffer);
-    } else {
-      // Copy outside the lock.  The flag keeps the receiver from unwinding
-      // (on abort) while its buffer is still being written.
-      req->copy_in_flight = true;
-      lock.unlock();
-      env->payload.copy_to(req->buffer);
-      lock.lock();
-      req->copy_in_flight = false;
-    }
-    // This runs on the sending thread, which is not waiting for `matched`:
-    // only the receiver needs a wakeup.
-    env->matched = true;
-    req->done = true;
+  const auto it = std::find_if(
+      mb.posted.begin(), mb.posted.end(), [&env](const auto& req) {
+        return detail::filters_match(req->source_filter, req->tag_filter,
+                                     req->context, req->internal, *env);
+      });
+  if (it == mb.posted.end()) {
+    mb.unexpected.push(env);
     wake(env->dest);
     return;
   }
-  mb.unexpected.push(env);
-  wake(env->dest);
+  const std::shared_ptr<detail::RequestState> req = *it;
+  mb.posted.erase(it);
+  match(lock, *req, *env);
 }
 
-void Runtime::consume(std::unique_lock<std::mutex>& lock,
-                      detail::Envelope& env, std::byte* dst) {
-  if (dst != nullptr && env.payload.size() <= detail::kLockedCopyMax) {
-    env.payload.copy_to(dst);
-  } else if (dst != nullptr) {
-    // The envelope has left the mailbox, so an unwinding rendezvous sender
-    // waits for `matched` before it frees a borrowed payload.
+void Runtime::match(std::unique_lock<std::mutex>& lock,
+                    detail::RequestState& req, detail::Envelope& env) {
+  const std::size_t bytes = env.payload.size();
+  req.status = Status{env.source, env.tag, bytes};
+  req.src_world = env.src_world;
+  req.trace_seq = env.trace_seq;
+  // Receiver-side link serialization: the payload streams in only after
+  // the receive is posted, the head arrives, and the ingress link is
+  // free from earlier messages (acks bypass the link).
+  detail::Mailbox& mb = mailbox(env.dest);
+  const bool ack = detail::is_reliable_ack(env);
+  const double start =
+      ack ? std::max(req.post_time, env.arrival_head)
+          : std::max({req.post_time, env.arrival_head, mb.link_busy_until});
+  req.completion_time = env.completion_time = start + env.byte_time;
+  if (!ack) mb.link_busy_until = req.completion_time;
+
+  if (bytes > req.capacity) {
+    // As MPI_ERR_TRUNCATE: the message is consumed and the receive fails,
+    // whichever of the two arrived first.
+    std::ostringstream os;
+    os << "message truncation: rank " << env.dest << " posted a "
+       << req.capacity << "-byte receive but rank " << env.source << " sent "
+       << bytes << " bytes (tag " << env.tag << ")";
+    req.error = os.str();
+  } else if (req.want_staged) {
+    // Collective-internal staged receive: adopt the shared payload buffer.
+    // Non-shareable internal payloads are inline (<= Payload::kMaxInline
+    // bytes), so their pooled copy under the lock is cheap.
+    if (env.payload.shareable()) {
+      req.staged = env.payload.share();
+      req.staged_shared = true;
+    } else if (bytes > 0) {
+      detail::Buffer buf = buffer_pool_->acquire(bytes, &req.staged_pool_hit);
+      env.payload.copy_to(buf->data());
+      req.staged = detail::StagedBuffer{std::move(buf), 0, bytes};
+    }
+  } else if (bytes <= detail::kLockedCopyMax) {
+    env.payload.copy_to(req.buffer);
+  } else {
+    // Copy outside the lock.  The flag keeps the receiver from unwinding
+    // (on abort) while its buffer is still being written; the envelope has
+    // left the mailbox, so an unwinding rendezvous sender waits for
+    // `matched` before it frees a borrowed payload.
+    req.copy_in_flight = true;
     lock.unlock();
-    env.payload.copy_to(dst);
+    env.payload.copy_to(req.buffer);
     lock.lock();
+    req.copy_in_flight = false;
   }
   env.matched = true;
-  // Nobody waits on an eager envelope's flag.
+  req.done = true;
+  // Whichever side is not the calling thread may be asleep on it.
+  wake(env.dest);
   if (env.rendezvous) wake(env.src_world);
 }
 

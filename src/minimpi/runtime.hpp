@@ -91,19 +91,19 @@ class Runtime {
   }
 
   /// Delivers an envelope: matches a posted receive if possible, otherwise
-  /// queues it as unexpected, and wakes the destination rank.  The only
-  /// place a receiver is woken for its message.  Lock held on entry and
-  /// exit; it is released around a matched payload copy above
-  /// kLockedCopyMax bytes (copy_in_flight guards the receiver's buffer).
+  /// queues it as unexpected and wakes the destination rank.  Lock held on
+  /// entry and exit (match() may release it around a large copy).
   void deliver(std::unique_lock<std::mutex>& lock,
                const std::shared_ptr<detail::Envelope>& env);
 
-  /// The receiver side of a message taken from the unexpected queue: copies
-  /// the payload to `dst` (nullptr: nothing to copy), with the lock
-  /// released above kLockedCopyMax bytes, marks the envelope matched and
-  /// wakes its sender when that sender waits for it (rendezvous only).
-  void consume(std::unique_lock<std::mutex>& lock, detail::Envelope& env,
-               std::byte* dst);
+  /// The one place a message meets its receive, whichever came first:
+  /// `env` has left the unexpected queue and `req` the posted list.  Sets
+  /// the completion clock and the ingress link (reliable acks bypass it),
+  /// fails the receive on truncation, adopts or copies the payload (the
+  /// copy runs with the lock released above kLockedCopyMax bytes), marks
+  /// both sides complete and wakes the receiver and a rendezvous sender.
+  void match(std::unique_lock<std::mutex>& lock, detail::RequestState& req,
+             detail::Envelope& env);
 
   /// Keeps a posted receive's buffer safe while its owner `rank` unwinds or
   /// gives up: waits out a sender's in-flight copy into it, or withdraws

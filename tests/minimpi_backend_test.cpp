@@ -106,7 +106,7 @@ TEST(BackendWire, EnvelopeSurvivesSerialization) {
   // Pools recycle through deleters holding shared_from_this, so they must
   // live behind a shared_ptr (as in Runtime).
   const auto pool_ptr =
-      std::make_shared<dipdc::minimpi::detail::BufferPool>(/*enabled=*/true);
+      std::make_shared<dipdc::minimpi::detail::BufferPool>();
   dipdc::minimpi::detail::BufferPool& pool = *pool_ptr;
   dipdc::minimpi::detail::Envelope env;
   env.source = 3;
@@ -152,7 +152,7 @@ TEST(BackendWire, EnvelopeSurvivesSerialization) {
 
 TEST(BackendWire, SmallPayloadDeserializesInline) {
   const auto pool_ptr =
-      std::make_shared<dipdc::minimpi::detail::BufferPool>(/*enabled=*/true);
+      std::make_shared<dipdc::minimpi::detail::BufferPool>();
   dipdc::minimpi::detail::BufferPool& pool = *pool_ptr;
   dipdc::minimpi::detail::Envelope env;
   const std::vector<std::byte> body(16, std::byte{0xAB});
@@ -167,7 +167,7 @@ TEST(BackendWire, SmallPayloadDeserializesInline) {
 
 TEST(BackendWire, MalformedFramesAreRejected) {
   const auto pool_ptr =
-      std::make_shared<dipdc::minimpi::detail::BufferPool>(/*enabled=*/true);
+      std::make_shared<dipdc::minimpi::detail::BufferPool>();
   dipdc::minimpi::detail::BufferPool& pool = *pool_ptr;
   dipdc::minimpi::detail::Envelope out;
   // Too short for a header.
@@ -474,6 +474,77 @@ TEST_P(BackendFailures, LargeBcastReachesEveryRankIntact) {
         EXPECT_EQ(wrong, 0u);
       },
       with_backend(GetParam()));
+}
+
+TEST_P(BackendFailures, TruncatedReceiveConsumesTheMessage) {
+  // A message longer than its receive buffer is consumed and the receive
+  // fails (MPI_ERR_TRUNCATE), whichever of the two arrived first: a later
+  // probe finds nothing, a rendezvous sender is released, the next
+  // message on the tag is received normally, and the error reads the same
+  // for blocking recv and irecv+wait.
+  struct Case {
+    bool blocking;      // recv, else irecv + wait
+    bool arrive_first;  // message queued before the receive is posted
+    std::size_t bytes;  // eager or rendezvous size
+  };
+  const std::size_t eager = 64;
+  const std::size_t rendezvous = 100000;  // > the default eager threshold
+  std::vector<Case> cases;
+  for (const std::size_t bytes : {eager, rendezvous}) {
+    cases.push_back({true, true, bytes});
+    cases.push_back({false, true, bytes});
+    cases.push_back({false, false, bytes});
+  }
+  std::string first_error[2];
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message()
+                 << (c.blocking ? "recv" : "irecv+wait") << ", "
+                 << (c.arrive_first ? "arrive-first" : "post-first") << ", "
+                 << c.bytes << " bytes");
+    const int tag = 5;
+    std::string error;
+    mpi::run(
+        2,
+        [&](mpi::Comm& comm) {
+          if (comm.rank() == 0) {
+            const std::vector<std::byte> msg(c.bytes, std::byte{7});
+            if (!c.arrive_first) comm.barrier();
+            mpi::Request r = comm.isend(std::span<const std::byte>(msg), 1,
+                                        tag);
+            if (c.arrive_first) comm.barrier();
+            comm.wait(r);  // a rendezvous sender must be released
+            comm.barrier();
+            comm.send_value(42, 1, tag);
+            return;
+          }
+          std::vector<std::byte> small(16);
+          mpi::Request r;
+          if (!c.arrive_first) {
+            r = comm.irecv(std::span<std::byte>(small), 0, tag);
+          }
+          comm.barrier();
+          try {
+            if (c.blocking) {
+              comm.recv(std::span<std::byte>(small), 0, tag);
+            } else {
+              if (c.arrive_first) {
+                r = comm.irecv(std::span<std::byte>(small), 0, tag);
+              }
+              comm.wait(r);
+            }
+          } catch (const mpi::MpiError& e) {
+            error = e.what();
+          }
+          EXPECT_FALSE(comm.iprobe(0, tag).has_value());
+          comm.barrier();
+          EXPECT_EQ(comm.recv_value<int>(0, tag), 42);
+        },
+        with_backend(GetParam()));
+    EXPECT_NE(error.find("message truncation"), std::string::npos) << error;
+    std::string& want = first_error[c.bytes == eager ? 0 : 1];
+    if (want.empty()) want = error;
+    EXPECT_EQ(error, want);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendFailures,

@@ -50,13 +50,10 @@ std::vector<ker::Policy> kernel_policies() {
   return policies;
 }
 
-/// The seed's behaviour: no pooling, no zero-copy, no inline storage, and
-/// every collective on its classic algorithm.
-mpi::RuntimeOptions seed_equivalent() {
+/// Every collective forced onto its classic algorithm (linear roots,
+/// reduce+bcast), the reference the kAuto choices must agree with.
+mpi::RuntimeOptions classic_collectives() {
   mpi::RuntimeOptions opts;
-  opts.transport.pooling = false;
-  opts.transport.zero_copy = false;
-  opts.transport.inline_threshold = 0;
   opts.collectives.scatter = mpi::CollectiveAlgorithm::kClassic;
   opts.collectives.gather = mpi::CollectiveAlgorithm::kClassic;
   opts.collectives.allreduce = mpi::CollectiveAlgorithm::kClassic;
@@ -65,16 +62,10 @@ mpi::RuntimeOptions seed_equivalent() {
 }
 
 std::vector<mpi::RuntimeOptions> transport_variants() {
-  std::vector<mpi::RuntimeOptions> variants;
-  variants.push_back({});  // defaults: full fast path, kAuto collectives
-  variants.push_back(seed_equivalent());
-  mpi::RuntimeOptions pool_only;
-  pool_only.transport.zero_copy = false;
-  variants.push_back(pool_only);
-  mpi::RuntimeOptions share_only;
-  share_only.transport.pooling = false;
-  variants.push_back(share_only);
-  return variants;
+  // Defaults (kAuto collectives) first.  Zero-copy vs copied payloads are
+  // compared across backends: tcp copies wherever threads shares or
+  // borrows.
+  return {mpi::RuntimeOptions{}, classic_collectives()};
 }
 
 }  // namespace

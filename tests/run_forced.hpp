@@ -5,11 +5,23 @@
 // again.
 #pragma once
 
+#include <ostream>
 #include <utility>
 #include <vector>
 
 #include "minimpi/backend.hpp"
 #include "minimpi/runtime.hpp"
+
+namespace dipdc::minimpi {
+
+/// gtest prints a BackendKind parameter by name ("tcp"), not as raw enum
+/// bytes, so test names stay readable and do not shift when an enumerator
+/// moves.
+inline void PrintTo(BackendKind kind, std::ostream* os) {
+  *os << to_string(kind);
+}
+
+}  // namespace dipdc::minimpi
 
 namespace dipdc::testing {
 
